@@ -60,6 +60,11 @@ use crate::dispatch_workload;
 use crate::harness::{quantile, run_claiming};
 use crate::journal::{Journal, JournaledCell};
 
+/// 64-bit FNV-1a: derives per-cell seeds and fingerprints reports, stable
+/// across platforms, so a grid reproduces the same cell seeds on any
+/// machine.
+pub use sapred_obs::fnv1a;
+
 /// Schema tag of the aggregate fleet report.
 pub const FLEET_SCHEMA: &str = "sapred-fleet/v1";
 
@@ -248,18 +253,6 @@ pub struct FleetCoord {
     pub estimator: usize,
     /// Index into [`FleetGrid::seeds`].
     pub seed: usize,
-}
-
-/// 64-bit FNV-1a over `bytes` — the per-cell seed derivation. Dependency-free
-/// and stable across platforms, so a grid reproduces the same cell seeds on
-/// any machine.
-pub fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        hash ^= b as u64;
-        hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    hash
 }
 
 impl FleetGrid {

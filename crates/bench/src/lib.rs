@@ -45,9 +45,8 @@ pub struct Trained {
 /// `jobs_per_query` jobs, each with `maps_per_job` map and `reduces_per_job`
 /// reduce tasks, staggered Poisson-ish arrivals and varied per-job
 /// predictions (so SWRD/SRT rank queries non-trivially). Deterministic —
-/// no RNG — so incremental and reference dispatch runs see the exact same
-/// input. 200/5/80/20 gives the 10⁵-task workload the dispatch-throughput
-/// bench and example use.
+/// no RNG — so every run of a shape sees the exact same input. 200/5/80/20
+/// gives the 10⁵-task workload of the `dispatch` bench suite.
 pub fn dispatch_workload(
     n_queries: usize,
     jobs_per_query: usize,

@@ -40,5 +40,5 @@ pub use sched::{Fifo, Hcs, HcsQueues, Hfs, Scheduler, Srt, Swrd};
 pub use sim::{
     AdmissionConfig, AdmissionStats, CellSummary, CheckpointError, ClusterConfig, DemandOracle,
     DispatchMode, FrozenOracle, GuardConfig, GuardedOracle, JobStat, QuarantineRecord, QueryStat,
-    QueueMode, RunOutcome, ShedPolicy, SimError, SimReport, Simulator,
+    RunOutcome, ShedPolicy, SimError, SimReport, Simulator,
 };

@@ -1,6 +1,5 @@
 //! The arena-backed event core: packed event records in a slab with an
-//! index-based priority queue, plus the [`QueueMode`] seam proving it
-//! bit-identical to the reference `BinaryHeap`.
+//! index-based priority queue — the engine's only event queue.
 //!
 //! The engine's original event queue was a
 //! `BinaryHeap<Reverse<(Time, u64, Event)>>`: every push moved a 40-plus
@@ -12,11 +11,11 @@
 //!   recycled by a later push (the next-free handle is stored in the dead
 //!   record's `a` field — no side allocation),
 //! * an **index heap** (`Vec<u32>` of handles) ordered by the same
-//!   `(time, seq)` key the reference heap used. `seq` is unique per push,
+//!   `(time, seq)` key the original heap used. `seq` is unique per push,
 //!   so the key is a strict total order and *any* correct priority queue
 //!   pops the identical stream — which makes every downstream RNG draw,
 //!   emitted event, and report bit-identical by construction. The golden
-//!   fixtures and [`QueueMode::Crosscheck`] pin this.
+//!   fixtures and the `BinaryHeap`-oracle property test pin this.
 //!
 //! Handle/freelist invariants:
 //!
@@ -29,35 +28,10 @@
 //!   attempt over a run, but only ~queries + in-flight tasks at once).
 
 use std::cmp::Ordering;
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
 
 use super::checkpoint::{CheckpointError, Reader, Writer};
-use super::state::{Event, Time};
+use super::state::Event;
 use crate::job::TaskKind;
-
-/// How the engine queues its discrete events. Mirrors
-/// [`DispatchMode`](super::DispatchMode): a fast default, the executable
-/// reference specification, and a crosscheck mode proving them identical.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum QueueMode {
-    /// The arena queue: slab of packed records + index heap. The default;
-    /// allocation-free at steady state (slots recycle through the
-    /// freelist) and proven pop-identical to [`Reference`] by
-    /// [`Crosscheck`] runs and the golden fixtures.
-    ///
-    /// [`Reference`]: QueueMode::Reference
-    /// [`Crosscheck`]: QueueMode::Crosscheck
-    #[default]
-    Arena,
-    /// The pre-arena `BinaryHeap<Reverse<(Time, u64, Event)>>`, kept as
-    /// the executable specification and benchmark baseline.
-    Reference,
-    /// Drive both queues in lockstep and panic on the first divergence in
-    /// popped `(time, seq, event)` — which also exercises the record
-    /// encode/decode round-trip on every event.
-    Crosscheck,
-}
 
 /// One queued event, packed to 32 bytes. `a`/`b`/`c` carry the event's
 /// payload fields (see [`EventRecord::encode`]); `tag` selects the
@@ -152,12 +126,11 @@ impl EventRecord {
 /// wall-clock or capacity growth policy).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub(super) struct QueueStats {
-    /// Pushes + pops over the run (identical across queue modes).
+    /// Pushes + pops over the run.
     pub(super) ops: u64,
     /// Peak bytes of live queue state: slab records + index-heap entries
     /// (by element count, not reserved capacity, so the number is
-    /// bit-reproducible across allocator behaviors). Zero for the
-    /// reference queue, which has no arena.
+    /// bit-reproducible across allocator behaviors).
     pub(super) bytes_peak: u64,
     /// Pushes served by recycling a freed slab slot instead of growing
     /// the slab.
@@ -166,6 +139,8 @@ pub(super) struct QueueStats {
 
 /// The arena queue: slab + freelist + index min-heap over `(time, seq)`.
 pub(super) struct ArenaQueue {
+    /// The next sequence number to assign: one unique number per push.
+    seq: u64,
     slab: Vec<EventRecord>,
     /// Head of the intrusive freelist threaded through dead records'
     /// `a` fields ([`NIL`] = empty).
@@ -178,7 +153,13 @@ pub(super) struct ArenaQueue {
 
 impl ArenaQueue {
     pub(super) fn new() -> Self {
-        Self { slab: Vec::new(), free_head: NIL, heap: Vec::new(), stats: QueueStats::default() }
+        Self {
+            seq: 0,
+            slab: Vec::new(),
+            free_head: NIL,
+            heap: Vec::new(),
+            stats: QueueStats::default(),
+        }
     }
 
     pub(super) fn len(&self) -> usize {
@@ -187,6 +168,11 @@ impl ArenaQueue {
 
     pub(super) fn stats(&self) -> QueueStats {
         self.stats
+    }
+
+    /// The sequence counter (next seq to be assigned).
+    pub(super) fn seq(&self) -> u64 {
+        self.seq
     }
 
     #[inline]
@@ -239,10 +225,10 @@ impl ArenaQueue {
         }
     }
 
-    /// Queue `event` at `time` with sequence number `seq` (assigned by the
-    /// caller so crosscheck mode can feed both queues the same number).
-    pub(super) fn push(&mut self, time: f64, seq: u64, event: &Event) {
-        let record = EventRecord::encode(time, seq, event);
+    /// Queue `event` at `time` under the next sequence number.
+    pub(super) fn push(&mut self, time: f64, event: Event) {
+        let record = EventRecord::encode(time, self.seq, &event);
+        self.seq += 1;
         let h = if self.free_head != NIL {
             // Recycle the most recently freed slot.
             let h = self.free_head;
@@ -265,7 +251,7 @@ impl ArenaQueue {
     }
 
     /// Pop the minimum-`(time, seq)` event, freeing its slab slot.
-    pub(super) fn pop(&mut self) -> Option<(f64, u64, Event)> {
+    pub(super) fn pop(&mut self) -> Option<(f64, Event)> {
         let h = *self.heap.first()?;
         let last = self.heap.pop().expect("non-empty");
         if !self.heap.is_empty() {
@@ -281,14 +267,16 @@ impl ArenaQueue {
         self.slab[h as usize].tag = TAG_FREE;
         self.free_head = h;
         self.stats.ops += 1;
-        Some((r.time, r.seq, event))
+        Some((r.time, event))
     }
 
-    /// Serialize the full arena — slab records (live *and* freed), the
-    /// freelist head, the index heap, and the stats — so a restored queue
-    /// is structurally identical, not just pop-equivalent: slot recycling
-    /// order and `bytes_peak` continue exactly as they would have.
+    /// Serialize the full arena — the sequence counter, slab records (live
+    /// *and* freed), the freelist head, the index heap, and the stats — so
+    /// a restored queue is structurally identical, not just pop-equivalent:
+    /// seq numbering, slot recycling order and `bytes_peak` continue
+    /// exactly as they would have.
     pub(super) fn checkpoint(&self, w: &mut Writer) {
+        w.u64(self.seq);
         w.usize(self.slab.len());
         for r in &self.slab {
             w.f64(r.time);
@@ -315,6 +303,7 @@ impl ArenaQueue {
     /// [`CheckpointError`] instead of poisoning the run.
     pub(super) fn restore(r: &mut Reader<'_>) -> Result<Self, CheckpointError> {
         let corrupt = |msg: String| Err(CheckpointError::Corrupt(msg));
+        let seq = r.u64()?;
         let n = r.vec_len(30)?;
         let mut slab = Vec::with_capacity(n);
         for i in 0..n {
@@ -381,7 +370,7 @@ impl ArenaQueue {
             ));
         }
         let stats = QueueStats { ops: r.u64()?, bytes_peak: r.u64()?, recycled: r.u64()? };
-        let q = Self { slab, free_head, heap, stats };
+        let q = Self { seq, slab, free_head, heap, stats };
         // The index heap must satisfy the (time, seq) heap order; a
         // permuted heap would pop events in the wrong order.
         for i in 1..q.heap.len() {
@@ -393,8 +382,8 @@ impl ArenaQueue {
         Ok(q)
     }
 
-    /// The live (queued, un-popped) events, in heap order — for restore
-    /// validation and for rebuilding the crosscheck reference queue.
+    /// The live (queued, un-popped) events, in heap order, for restore-time
+    /// validation that every queued event references state that exists.
     pub(super) fn live_events(&self) -> Vec<(f64, u64, Event)> {
         self.heap
             .iter()
@@ -427,231 +416,6 @@ impl ArenaQueue {
     #[cfg(test)]
     pub(super) fn slab_len(&self) -> usize {
         self.slab.len()
-    }
-}
-
-/// The reference queue: the engine's original
-/// `BinaryHeap<Reverse<(Time, u64, Event)>>`, verbatim.
-pub(super) struct RefQueue {
-    heap: BinaryHeap<Reverse<(Time, u64, Event)>>,
-    stats: QueueStats,
-}
-
-impl RefQueue {
-    pub(super) fn new() -> Self {
-        Self { heap: BinaryHeap::new(), stats: QueueStats::default() }
-    }
-
-    pub(super) fn len(&self) -> usize {
-        self.heap.len()
-    }
-
-    pub(super) fn push(&mut self, time: f64, seq: u64, event: Event) {
-        self.heap.push(Reverse((Time(time), seq, event)));
-        self.stats.ops += 1;
-    }
-
-    pub(super) fn pop(&mut self) -> Option<(f64, u64, Event)> {
-        let Reverse((Time(t), seq, event)) = self.heap.pop()?;
-        self.stats.ops += 1;
-        Some((t, seq, event))
-    }
-
-    /// Serialize the live events sorted ascending by `(time, seq)` (the
-    /// `BinaryHeap`'s internal layout is unobservable, so sorted order is
-    /// the canonical representation) plus the stats.
-    pub(super) fn checkpoint(&self, w: &mut Writer) {
-        let mut live = self.live_events();
-        live.sort_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
-        w.usize(live.len());
-        for (t, s, e) in &live {
-            let rec = EventRecord::encode(*t, *s, e);
-            w.f64(rec.time);
-            w.u64(rec.seq);
-            w.u32(rec.a);
-            w.u32(rec.b);
-            w.u32(rec.c);
-            w.u8(rec.tag);
-            w.u8(rec.kind);
-        }
-        w.u64(self.stats.ops);
-        w.u64(self.stats.bytes_peak);
-        w.u64(self.stats.recycled);
-    }
-
-    /// Rebuild the reference queue from checkpoint bytes. Events go
-    /// straight into the `BinaryHeap` (not through [`RefQueue::push`],
-    /// which would double-count `ops`); pop order depends only on the
-    /// strict `(time, seq)` total order, so heap layout is immaterial.
-    pub(super) fn restore(r: &mut Reader<'_>) -> Result<Self, CheckpointError> {
-        let n = r.vec_len(30)?;
-        let mut heap = BinaryHeap::with_capacity(n);
-        for i in 0..n {
-            let rec = EventRecord {
-                time: r.f64()?,
-                seq: r.u64()?,
-                a: r.u32()?,
-                b: r.u32()?,
-                c: r.u32()?,
-                tag: r.u8()?,
-                kind: r.u8()?,
-                _pad: [0; 2],
-            };
-            if rec.tag > TAG_RESUBMIT {
-                return Err(CheckpointError::Corrupt(format!(
-                    "reference record {i}: unknown event tag {}",
-                    rec.tag
-                )));
-            }
-            if rec.kind > 1 {
-                return Err(CheckpointError::Corrupt(format!(
-                    "reference record {i}: task-kind discriminant {}",
-                    rec.kind
-                )));
-            }
-            heap.push(Reverse((Time(rec.time), rec.seq, rec.decode())));
-        }
-        let stats = QueueStats { ops: r.u64()?, bytes_peak: r.u64()?, recycled: r.u64()? };
-        Ok(Self { heap, stats })
-    }
-
-    /// The live events (arbitrary order), mirroring
-    /// [`ArenaQueue::live_events`].
-    pub(super) fn live_events(&self) -> Vec<(f64, u64, Event)> {
-        self.heap.iter().map(|Reverse((Time(t), s, e))| (*t, *s, *e)).collect()
-    }
-}
-
-/// The engine's event queue behind the [`QueueMode`] seam. Owns the `seq`
-/// counter (one unique number per push, shared by both queues under
-/// crosscheck) so the engine can't desynchronize the two.
-pub(super) struct EventQueue {
-    imp: QueueImpl,
-    seq: u64,
-}
-
-enum QueueImpl {
-    Arena(ArenaQueue),
-    Reference(RefQueue),
-    Crosscheck { arena: ArenaQueue, reference: RefQueue },
-}
-
-impl EventQueue {
-    pub(super) fn new(mode: QueueMode) -> Self {
-        let imp = match mode {
-            QueueMode::Arena => QueueImpl::Arena(ArenaQueue::new()),
-            QueueMode::Reference => QueueImpl::Reference(RefQueue::new()),
-            QueueMode::Crosscheck => {
-                QueueImpl::Crosscheck { arena: ArenaQueue::new(), reference: RefQueue::new() }
-            }
-        };
-        Self { imp, seq: 0 }
-    }
-
-    pub(super) fn len(&self) -> usize {
-        match &self.imp {
-            QueueImpl::Arena(a) => a.len(),
-            QueueImpl::Reference(r) => r.len(),
-            QueueImpl::Crosscheck { arena, .. } => arena.len(),
-        }
-    }
-
-    pub(super) fn push(&mut self, time: f64, event: Event) {
-        let s = self.seq;
-        self.seq += 1;
-        match &mut self.imp {
-            QueueImpl::Arena(a) => a.push(time, s, &event),
-            QueueImpl::Reference(r) => r.push(time, s, event),
-            QueueImpl::Crosscheck { arena, reference } => {
-                arena.push(time, s, &event);
-                reference.push(time, s, event);
-            }
-        }
-    }
-
-    pub(super) fn pop(&mut self) -> Option<(f64, Event)> {
-        match &mut self.imp {
-            QueueImpl::Arena(a) => a.pop().map(|(t, _, e)| (t, e)),
-            QueueImpl::Reference(r) => r.pop().map(|(t, _, e)| (t, e)),
-            QueueImpl::Crosscheck { arena, reference } => {
-                let got = arena.pop();
-                let want = reference.pop();
-                match (got, want) {
-                    (None, None) => None,
-                    (Some((ta, sa, ea)), Some((tr, sr, er))) => {
-                        assert!(
-                            ta.to_bits() == tr.to_bits() && sa == sr && ea == er,
-                            "arena queue diverged from reference heap: \
-                             popped ({ta}, {sa}, {ea:?}), expected ({tr}, {sr}, {er:?})"
-                        );
-                        Some((ta, ea))
-                    }
-                    (a, r) => panic!(
-                        "arena queue diverged from reference heap: \
-                         one side empty (arena: {a:?}, reference: {r:?})"
-                    ),
-                }
-            }
-        }
-    }
-
-    /// Deterministic queue telemetry for the profiler. Under crosscheck the
-    /// arena's stats are reported (ops match the reference by definition).
-    pub(super) fn stats(&self) -> QueueStats {
-        match &self.imp {
-            QueueImpl::Arena(a) => a.stats(),
-            QueueImpl::Reference(r) => r.stats,
-            QueueImpl::Crosscheck { arena, .. } => arena.stats(),
-        }
-    }
-
-    /// The sequence counter (next seq to be assigned).
-    pub(super) fn seq(&self) -> u64 {
-        self.seq
-    }
-
-    /// Serialize the queue: the sequence counter, then the mode-specific
-    /// representation. Under crosscheck only the arena side is written —
-    /// the reference queue is rebuilt from the arena's live events on
-    /// restore.
-    pub(super) fn checkpoint(&self, w: &mut Writer) {
-        w.u64(self.seq);
-        match &self.imp {
-            QueueImpl::Arena(a) => a.checkpoint(w),
-            QueueImpl::Reference(r) => r.checkpoint(w),
-            QueueImpl::Crosscheck { arena, .. } => arena.checkpoint(w),
-        }
-    }
-
-    /// Restore a queue serialized by [`EventQueue::checkpoint`] under the
-    /// same [`QueueMode`] (the engine's context fingerprint guarantees the
-    /// mode matches).
-    pub(super) fn restore(mode: QueueMode, r: &mut Reader<'_>) -> Result<Self, CheckpointError> {
-        let seq = r.u64()?;
-        let imp = match mode {
-            QueueMode::Arena => QueueImpl::Arena(ArenaQueue::restore(r)?),
-            QueueMode::Reference => QueueImpl::Reference(RefQueue::restore(r)?),
-            QueueMode::Crosscheck => {
-                let arena = ArenaQueue::restore(r)?;
-                let mut reference = RefQueue::new();
-                for (t, s, e) in arena.live_events() {
-                    reference.heap.push(Reverse((Time(t), s, e)));
-                }
-                reference.stats = arena.stats();
-                QueueImpl::Crosscheck { arena, reference }
-            }
-        };
-        Ok(Self { imp, seq })
-    }
-
-    /// The live (queued, un-popped) events, for restore-time validation
-    /// that every queued event references state that exists.
-    pub(super) fn live_events(&self) -> Vec<(f64, u64, Event)> {
-        match &self.imp {
-            QueueImpl::Arena(a) => a.live_events(),
-            QueueImpl::Reference(r) => r.live_events(),
-            QueueImpl::Crosscheck { arena, .. } => arena.live_events(),
-        }
     }
 }
 
@@ -689,24 +453,35 @@ mod tests {
     #[test]
     fn pops_in_time_then_seq_order() {
         let mut q = ArenaQueue::new();
-        q.push(2.0, 0, &Event::Arrival { q: 0 });
-        q.push(1.0, 1, &Event::Arrival { q: 1 });
-        q.push(1.0, 2, &Event::Arrival { q: 2 });
-        q.push(0.5, 3, &Event::Arrival { q: 3 });
-        let order: Vec<u64> = std::iter::from_fn(|| q.pop()).map(|(_, s, _)| s).collect();
-        assert_eq!(order, vec![3, 1, 2, 0]);
+        q.push(2.0, Event::Arrival { q: 0 });
+        q.push(1.0, Event::Submit { q: 1, j: 0 });
+        q.push(1.0, Event::TaskDone { attempt: 7 });
+        q.push(0.5, Event::Arrival { q: 3 });
+        assert_eq!(q.len(), 4);
+        assert_eq!(q.seq(), 4);
+        let order: Vec<(f64, Event)> = std::iter::from_fn(|| q.pop()).collect();
+        assert_eq!(
+            order,
+            vec![
+                (0.5, Event::Arrival { q: 3 }),
+                (1.0, Event::Submit { q: 1, j: 0 }),
+                (1.0, Event::TaskDone { attempt: 7 }),
+                (2.0, Event::Arrival { q: 0 }),
+            ]
+        );
+        assert_eq!(q.stats().ops, 8);
     }
 
     #[test]
     fn slots_recycle_through_the_freelist() {
         let mut q = ArenaQueue::new();
-        q.push(1.0, 0, &Event::Arrival { q: 0 });
-        q.push(2.0, 1, &Event::Arrival { q: 1 });
+        q.push(1.0, Event::Arrival { q: 0 });
+        q.push(2.0, Event::Arrival { q: 1 });
         assert_eq!(q.slab_len(), 2);
         q.pop();
         assert_eq!(q.free_len(), 1);
         // The freed slot is reused: slab does not grow.
-        q.push(3.0, 2, &Event::Arrival { q: 2 });
+        q.push(3.0, Event::Arrival { q: 2 });
         assert_eq!(q.slab_len(), 2);
         assert_eq!(q.free_len(), 0);
         assert_eq!(q.stats().recycled, 1);
@@ -723,7 +498,7 @@ mod tests {
         // Steady-state push/pop: peak stays at the high-water mark of
         // *simultaneous* events, not the total pushed.
         for i in 0..1000u64 {
-            q.push(i as f64, i, &Event::Arrival { q: 0 });
+            q.push(i as f64, Event::Arrival { q: 0 });
             q.pop();
         }
         // One live record at a time: slab of 1 record + 1 handle at peak.
@@ -732,41 +507,17 @@ mod tests {
         assert_eq!(q.live_bytes(), 32); // slab slot retained, heap empty
     }
 
-    #[test]
-    fn crosscheck_mode_pops_both_queues_in_lockstep() {
-        let mut q = EventQueue::new(QueueMode::Crosscheck);
-        q.push(2.0, Event::Arrival { q: 0 });
-        q.push(1.0, Event::Submit { q: 1, j: 0 });
-        q.push(1.0, Event::TaskDone { attempt: 7 });
-        assert_eq!(q.len(), 3);
-        assert_eq!(q.pop(), Some((1.0, Event::Submit { q: 1, j: 0 })));
-        assert_eq!(q.pop(), Some((1.0, Event::TaskDone { attempt: 7 })));
-        assert_eq!(q.pop(), Some((2.0, Event::Arrival { q: 0 })));
-        assert_eq!(q.pop(), None);
-    }
-
-    #[test]
-    fn stats_ops_count_pushes_and_pops_identically_across_modes() {
-        for mode in [QueueMode::Arena, QueueMode::Reference, QueueMode::Crosscheck] {
-            let mut q = EventQueue::new(mode);
-            for i in 0..5 {
-                q.push(i as f64, Event::Arrival { q: i });
-            }
-            while q.pop().is_some() {}
-            assert_eq!(q.stats().ops, 10, "mode {mode:?}");
-        }
-    }
-
     /// A queue with a non-trivial freelist (slots 0 and 1 freed, 1 at the
-    /// head) serialized to checkpoint bytes. On-wire layout: slab len u64,
-    /// then 30-byte records (time 8, seq 8, a/b/c 4 each, tag 1, kind 1),
-    /// then free_head u32, heap len u64, heap handles u32 each, stats.
+    /// head) serialized to checkpoint bytes. On-wire layout: seq u64, slab
+    /// len u64, then 30-byte records (time 8, seq 8, a/b/c 4 each, tag 1,
+    /// kind 1), then free_head u32, heap len u64, heap handles u32 each,
+    /// stats.
     fn checkpointed_arena() -> (ArenaQueue, Vec<u8>) {
         let mut q = ArenaQueue::new();
-        q.push(1.0, 0, &Event::Arrival { q: 0 });
-        q.push(2.0, 1, &Event::Submit { q: 0, j: 0 });
-        q.push(3.0, 2, &Event::TaskDone { attempt: 5 });
-        q.push(4.0, 3, &Event::Resubmit { q: 1 });
+        q.push(1.0, Event::Arrival { q: 0 });
+        q.push(2.0, Event::Submit { q: 0, j: 0 });
+        q.push(3.0, Event::TaskDone { attempt: 5 });
+        q.push(4.0, Event::Resubmit { q: 1 });
         q.pop();
         q.pop();
         assert_eq!(q.free_len(), 2);
@@ -776,11 +527,13 @@ mod tests {
     }
 
     const REC: usize = 30;
+    /// Bytes before the first slab record: the seq counter and slab length.
+    const SLAB: usize = 16;
     fn tag_off(i: usize) -> usize {
-        8 + REC * i + 28
+        SLAB + REC * i + 28
     }
     fn a_off(i: usize) -> usize {
-        8 + REC * i + 16
+        SLAB + REC * i + 16
     }
 
     fn restore_err(bytes: &[u8]) -> CheckpointError {
@@ -793,24 +546,30 @@ mod tests {
         let mut r = Reader::new(&bytes);
         let mut restored = ArenaQueue::restore(&mut r).unwrap();
         r.expect_end().unwrap();
+        assert_eq!(restored.seq(), q.seq());
         assert_eq!(restored.len(), q.len());
         assert_eq!(restored.free_len(), q.free_len());
         assert_eq!(restored.slab_len(), q.slab_len());
         assert_eq!(restored.stats(), q.stats());
-        // Identical pop stream and identical slot-recycling behavior.
-        for push_seq in 4u64..7 {
+        // Identical pop stream, seq numbering and slot-recycling behavior.
+        for _ in 0..3 {
             assert_eq!(restored.pop(), q.pop());
-            restored.push(9.0, push_seq, &Event::Arrival { q: 2 });
-            q.push(9.0, push_seq, &Event::Arrival { q: 2 });
+            restored.push(9.0, Event::Arrival { q: 2 });
+            q.push(9.0, Event::Arrival { q: 2 });
         }
-        assert_eq!(restored.stats(), q.stats());
+        let bytes_of = |q: &ArenaQueue| {
+            let mut w = Writer::new();
+            q.checkpoint(&mut w);
+            w.finish()
+        };
+        assert_eq!(bytes_of(&restored), bytes_of(&q));
     }
 
     #[test]
     fn restore_rejects_freelist_pointing_at_live_record() {
         let (_, mut bytes) = checkpointed_arena();
         // free_head = 1 (freed). Repoint it at handle 2, which is live.
-        let fh = 8 + REC * 4;
+        let fh = SLAB + REC * 4;
         bytes[fh..fh + 4].copy_from_slice(&2u32.to_le_bytes());
         let e = restore_err(&bytes);
         assert!(e.to_string().contains("live record"), "{e}");
@@ -854,7 +613,7 @@ mod tests {
     fn restore_rejects_unbalanced_slot_accounting() {
         let (_, mut bytes) = checkpointed_arena();
         // Detach the freelist entirely: two freed slots become orphans.
-        let fh = 8 + REC * 4;
+        let fh = SLAB + REC * 4;
         bytes[fh..fh + 4].copy_from_slice(&NIL.to_le_bytes());
         let e = restore_err(&bytes);
         assert!(e.to_string().contains("unaccounted"), "{e}");
@@ -864,7 +623,7 @@ mod tests {
     fn restore_rejects_heap_order_violation() {
         let (_, mut bytes) = checkpointed_arena();
         // Swap the two heap entries: child (time 3) above parent (time 4).
-        let heap_base = 8 + REC * 4 + 4 + 8;
+        let heap_base = SLAB + REC * 4 + 4 + 8;
         let (h0, h1) = (heap_base, heap_base + 4);
         let a: [u8; 4] = bytes[h0..h0 + 4].try_into().unwrap();
         let b: [u8; 4] = bytes[h1..h1 + 4].try_into().unwrap();
@@ -877,43 +636,12 @@ mod tests {
     #[test]
     fn restore_rejects_truncated_arena_bytes() {
         let (_, bytes) = checkpointed_arena();
-        for cut in [0, 5, 8, 8 + REC, bytes.len() - 1] {
+        for cut in [0, 5, 8, SLAB, SLAB + REC, bytes.len() - 1] {
             assert_eq!(
                 restore_err(&bytes[..cut]),
                 CheckpointError::Truncated,
                 "truncation at {cut} bytes"
             );
-        }
-    }
-
-    #[test]
-    fn event_queue_checkpoint_round_trips_in_every_mode() {
-        for mode in [QueueMode::Arena, QueueMode::Reference, QueueMode::Crosscheck] {
-            let mut q = EventQueue::new(mode);
-            for i in 0..6 {
-                q.push((10 - i) as f64, Event::Arrival { q: i });
-            }
-            q.pop();
-            q.pop();
-            let mut w = Writer::new();
-            q.checkpoint(&mut w);
-            let bytes = w.finish();
-            let mut r = Reader::new(&bytes);
-            let mut restored = EventQueue::restore(mode, &mut r).unwrap();
-            r.expect_end().unwrap();
-            assert_eq!(restored.seq(), q.seq(), "mode {mode:?}");
-            assert_eq!(restored.len(), q.len(), "mode {mode:?}");
-            // Future pushes get the same seq numbers, and the merged pop
-            // stream is identical.
-            restored.push(0.5, Event::Resubmit { q: 9 });
-            q.push(0.5, Event::Resubmit { q: 9 });
-            loop {
-                let (a, b) = (restored.pop(), q.pop());
-                assert_eq!(a, b, "mode {mode:?}");
-                if a.is_none() {
-                    break;
-                }
-            }
         }
     }
 }

@@ -2,13 +2,12 @@
 //! mid-run [`Simulator`].
 //!
 //! A checkpoint serializes the *complete* mutable run state — the event
-//! queue (arena slab, freelist, and index heap, or the reference heap's
-//! live events), the struct-of-arrays job/attempt/query state, admission
-//! and fault bookkeeping, both RNG streams, the event sequence counter,
-//! and the oracle's opaque state blob — such that restoring it and
-//! finishing the run reproduces the uninterrupted run's report and event
-//! stream bit-for-bit (the golden fixtures and the kill-and-resume
-//! differential harness pin this).
+//! queue (sequence counter, arena slab, freelist, and index heap), the
+//! struct-of-arrays job/attempt/query state, admission and fault
+//! bookkeeping, both RNG streams, and the oracle's opaque state blob —
+//! such that restoring it and finishing the run reproduces the
+//! uninterrupted run's report and event stream bit-for-bit (the golden
+//! fixtures and the kill-and-resume differential harness pin this).
 //!
 //! What is *not* serialized is deliberately re-derivable: interned query
 //! names come from the workload, and the materialized
@@ -28,10 +27,10 @@
 //!
 //! The payload opens with a context fingerprint over everything the
 //! snapshot does **not** carry but correctness depends on: cluster config,
-//! cost model, scheduler name, dispatch/queue modes, fault plan, admission
-//! config, and the full workload shape (task specs included). Restoring
-//! against a different context fails with
-//! [`CheckpointError::ContextMismatch`] instead of silently diverging.
+//! cost model, scheduler name, fault plan, admission config, and the full
+//! workload shape (task specs included). Restoring against a different
+//! context fails with [`CheckpointError::ContextMismatch`] instead of
+//! silently diverging.
 //! Every single-byte corruption of a blob is caught: payload flips break
 //! the checksum, header flips break the magic, the length, or the
 //! checksum itself; hand-crafted blobs that *re-checksum* corrupted
@@ -46,17 +45,17 @@ use rand::rngs::StdRng;
 
 use crate::job::{SimQuery, TaskKind};
 use crate::sched::Scheduler;
+use sapred_obs::hash::{fnv1a, fnv1a_extend, FNV1A_OFFSET};
 use sapred_obs::QueryId;
 use sapred_plan::JobCategory;
 
 use super::admission::{AdmissionStats, ShedPolicy};
-use super::arena::{EventQueue, NIL};
-use super::dispatch::{DispatchMode, DispatchState};
+use super::arena::{ArenaQueue, NIL};
+use super::dispatch::DispatchState;
 use super::engine::{RunState, Simulator};
 use super::oracle::DemandOracle;
 use super::recovery::{Attempt, FaultState};
 use super::state::{Event, JobTable, QueryState};
-use super::QueueMode;
 
 /// Magic header of a `sapred-ckpt/v1` checkpoint blob.
 pub(super) const MAGIC: &[u8] = b"sapred-ckpt/v1\n";
@@ -120,38 +119,22 @@ impl fmt::Display for CheckpointError {
 impl std::error::Error for CheckpointError {}
 
 // ---------------------------------------------------------------------
-// FNV-1a 64 (same parameters as the golden fixtures and the fleet grid).
-
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
-
-/// FNV-1a 64 over a byte slice (the frame checksum).
-pub(super) fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h = FNV_OFFSET;
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(FNV_PRIME);
-    }
-    h
-}
+// FNV-1a 64 (the frame checksum is `fnv1a` over the payload).
 
 /// Incremental FNV-1a 64 over typed fields (the context fingerprint).
 struct Fnv(u64);
 
 impl Fnv {
     fn new() -> Self {
-        Fnv(FNV_OFFSET)
+        Fnv(FNV1A_OFFSET)
     }
 
     fn u8(&mut self, v: u8) {
-        self.0 ^= u64::from(v);
-        self.0 = self.0.wrapping_mul(FNV_PRIME);
+        self.0 = fnv1a_extend(self.0, &[v]);
     }
 
     fn u64(&mut self, v: u64) {
-        for b in v.to_le_bytes() {
-            self.u8(b);
-        }
+        self.0 = fnv1a_extend(self.0, &v.to_le_bytes());
     }
 
     fn usize(&mut self, v: usize) {
@@ -167,9 +150,7 @@ impl Fnv {
     }
 
     fn str(&mut self, s: &str) {
-        for b in s.as_bytes() {
-            self.u8(*b);
-        }
+        self.0 = fnv1a_extend(self.0, s.as_bytes());
         self.u8(0xff); // separator: "ab","c" must not hash like "a","bc"
     }
 }
@@ -382,18 +363,10 @@ pub(super) fn context_fingerprint<S: Scheduler>(sim: &Simulator<S>, queries: &[S
     h.f64(sim.cost.contention_coeff);
     h.f64(sim.cost.straggler_prob);
     h.f64(sim.cost.straggler_factor);
-    // Policy and engine modes.
+    // Policy. (The dispatch mode is not part of the context: Crosscheck
+    // only checks the state Incremental maintains, so a snapshot taken
+    // under either restores under either.)
     h.str(sim.scheduler.name());
-    h.u8(match sim.dispatch {
-        DispatchMode::Incremental => 0,
-        DispatchMode::Reference => 1,
-        DispatchMode::Crosscheck => 2,
-    });
-    h.u8(match sim.queue {
-        QueueMode::Arena => 0,
-        QueueMode::Reference => 1,
-        QueueMode::Crosscheck => 2,
-    });
     // Fault plan.
     h.f64(sim.faults.task_fail_prob);
     h.usize(sim.faults.max_attempts);
@@ -469,7 +442,7 @@ pub(super) fn encode<S: Scheduler>(
     w.bool(rs.degraded);
     w.u64(rs.rng.state());
     w.u64(rs.fault_rng.state());
-    // Event queue (sequence counter + mode-specific representation).
+    // Event queue (sequence counter + arena).
     rs.queue.checkpoint(&mut w);
     // Job table, one record per (query, job) arena slot.
     let total: usize = queries.iter().map(|q| q.jobs.len()).sum();
@@ -708,7 +681,7 @@ pub(super) fn decode<S: Scheduler>(
     let fault_rng = StdRng::from_state(r.u64()?);
 
     // Event queue.
-    let queue = EventQueue::restore(sim.queue, &mut r)?;
+    let queue = ArenaQueue::restore(&mut r)?;
 
     // Job table.
     let total: usize = queries.iter().map(|q| q.jobs.len()).sum();
@@ -985,10 +958,8 @@ pub(super) fn decode<S: Scheduler>(
     let names: Vec<std::sync::Arc<str>> =
         queries.iter().map(|q| std::sync::Arc::from(q.name.as_str())).collect();
     let mut dstate = DispatchState::new(nq, containers);
-    if sim.dispatch != DispatchMode::Reference {
-        for qi in 0..nq {
-            dstate.resync_query(queries, &jobs, &preds, qi);
-        }
+    for qi in 0..nq {
+        dstate.resync_query(queries, &jobs, &preds, qi);
     }
 
     Ok(RunState {
@@ -1062,14 +1033,6 @@ mod tests {
         let buf = w.finish();
         let mut r = Reader::new(&buf);
         assert_eq!(r.vec_len(8), Err(CheckpointError::Truncated));
-    }
-
-    #[test]
-    fn fnv1a_matches_reference_vectors() {
-        // FNV-1a 64 published test vectors.
-        assert_eq!(fnv1a(b""), 0xcbf2_9ce4_8422_2325);
-        assert_eq!(fnv1a(b"a"), 0xaf63_dc4c_8601_ec8c);
-        assert_eq!(fnv1a(b"foobar"), 0x85944171f73967e8);
     }
 
     #[test]

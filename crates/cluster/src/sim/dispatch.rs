@@ -1,34 +1,26 @@
 //! The dispatch path: the materialized runnable set, per-query demand
 //! aggregates (WRD / critical path / running counts) derived from live
 //! [`DemandOracle`](super::DemandOracle) predictions, and the
-//! incremental-vs-reference [`DispatchMode`] cross-check machinery.
+//! [`DispatchMode::Crosscheck`] oracle that re-derives both from scratch.
 
 use crate::job::{JobPrediction, SimQuery};
 use crate::sched::RunnableJob;
 
-use super::state::JobTable;
+use super::state::{JobTable, QueryState};
 use sapred_obs::{JobId, QueryId};
 
-/// How the engine derives the scheduler's runnable view on each dispatch.
+/// Whether the engine checks its scheduler view against a from-scratch
+/// rebuild. The view itself is always the incremental one.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum DispatchMode {
     /// Materialized scheduling state, updated in O(affected jobs) per
-    /// event. The default; asymptotically faster than [`Reference`] and
-    /// proven behavior-identical to it by [`Crosscheck`] runs.
-    ///
-    /// [`Reference`]: DispatchMode::Reference
-    /// [`Crosscheck`]: DispatchMode::Crosscheck
+    /// event. The default.
     #[default]
     Incremental,
-    /// The from-scratch reference: rebuild the whole runnable view with
-    /// [`collect_runnable`] once per free container — O(Σ jobs) per
-    /// dispatched task. Kept as the executable specification the
-    /// incremental path is checked against, and as the benchmark baseline.
-    Reference,
-    /// Run incrementally but re-derive the reference view after every
-    /// event and before every scheduler pick, panicking on any
-    /// divergence (including f64 score bits). Used by the cross-check
-    /// tests; roughly as slow as [`Reference`](DispatchMode::Reference).
+    /// Run incrementally but re-derive the view from scratch
+    /// ([`collect_runnable`] and [`query_demand`]) after every event and
+    /// before every scheduler pick, panicking on any divergence (including
+    /// f64 score bits). O(Σ jobs) per check; used by the cross-check tests.
     Crosscheck,
 }
 
@@ -203,14 +195,7 @@ impl DispatchState {
         }
         let (wrd, crit) = query_demand(q, qi, jobs, &preds[qi], self.containers, &mut self.scratch);
         let base = jobs.query_range(qi).start;
-        let running = q
-            .jobs
-            .iter()
-            .map(|j| {
-                jobs.counts[base + j.id.0].running_maps + jobs.counts[base + j.id.0].running_reduces
-            })
-            .sum();
-        self.aggs[qi] = QueryAgg { wrd, crit, running };
+        self.aggs[qi] = QueryAgg { wrd, crit, running: query_running(jobs, qi) };
         let agg = self.aggs[qi];
         let start = self.runnable.partition_point(|r| r.query < QueryId(qi));
         let end =
@@ -251,14 +236,18 @@ impl DispatchState {
         self.aggs[qi] = QueryAgg::default();
     }
 
-    /// Panic unless the materialized set matches the from-scratch
-    /// reference bit-for-bit (f64 fields included — the scores recorded in
-    /// obs decision events must be identical, not merely close).
+    /// Panic unless the materialized state matches a from-scratch rebuild
+    /// bit-for-bit (f64 fields included — the scores recorded in obs
+    /// decision events must be identical, not merely close): the runnable
+    /// set against [`collect_runnable`], and every live query's aggregates
+    /// against [`query_demand`]. The second check covers queries with no
+    /// runnable entry, whose WRD admission's `ShedLargestWrd` still reads.
     pub(super) fn crosscheck(
         &self,
         queries: &[SimQuery],
         jobs: &JobTable,
         preds: &[Vec<JobPrediction>],
+        qstate: &[QueryState],
         when: &str,
     ) {
         let reference = collect_runnable(queries, jobs, preds, self.containers);
@@ -266,7 +255,30 @@ impl DispatchState {
             self.runnable, reference,
             "incremental dispatch state diverged from collect_runnable ({when})"
         );
+        for (qi, q) in queries.iter().enumerate() {
+            // An abandoned query's aggregates are cleared with its entries.
+            if qstate[qi].failed {
+                continue;
+            }
+            let mut acc = vec![0.0f64; q.jobs.len()];
+            let (wrd, crit) = query_demand(q, qi, jobs, &preds[qi], self.containers, &mut acc);
+            let running = query_running(jobs, qi);
+            let agg = self.aggs[qi];
+            assert!(
+                agg.wrd.to_bits() == wrd.to_bits()
+                    && agg.crit.to_bits() == crit.to_bits()
+                    && agg.running == running,
+                "incremental aggregates of query {qi} diverged from query_demand ({when}): \
+                 maintained {agg:?}, expected wrd {wrd}, crit {crit}, running {running}"
+            );
+        }
     }
+}
+
+/// Running tasks across all of query `qi`'s jobs (for queue-share
+/// accounting).
+fn query_running(jobs: &JobTable, qi: usize) -> usize {
+    jobs.counts[jobs.query_range(qi)].iter().map(|c| c.running_maps + c.running_reduces).sum()
 }
 
 /// Per-query demand aggregates: remaining WRD (Eq. 10) and remaining
@@ -321,10 +333,10 @@ pub(super) fn query_demand(
 }
 
 /// Build the full runnable view from scratch. This is the executable
-/// specification of what schedulers see: O(Σ jobs) per call, called once
-/// per free container under [`DispatchMode::Reference`]. The incremental
-/// path maintains the identical view (same entries, same order, same
-/// aggregate bits) without the rebuild.
+/// specification of what schedulers see: O(Σ jobs) per call, checked
+/// against before every pick under [`DispatchMode::Crosscheck`]. The
+/// incremental path maintains the identical view (same entries, same
+/// order, same aggregate bits) without the rebuild.
 pub(super) fn collect_runnable(
     queries: &[SimQuery],
     jobs: &JobTable,
@@ -336,14 +348,7 @@ pub(super) fn collect_runnable(
         let mut acc = vec![0.0f64; q.jobs.len()];
         let (wrd, crit) = query_demand(q, qi, jobs, &preds[qi], containers, &mut acc);
         let base = jobs.query_range(qi).start;
-        // Total running tasks of this query (for queue-share accounting).
-        let query_running: usize = q
-            .jobs
-            .iter()
-            .map(|j| {
-                jobs.counts[base + j.id.0].running_maps + jobs.counts[base + j.id.0].running_reduces
-            })
-            .sum();
+        let running = query_running(jobs, qi);
         for j in &q.jobs {
             let i = base + j.id.0;
             if !jobs.submitted[i] || jobs.finished[i].is_some() {
@@ -364,7 +369,7 @@ pub(super) fn collect_runnable(
                 running: jobs.counts[i].running_maps + jobs.counts[i].running_reduces,
                 query_wrd: wrd,
                 query_time: crit,
-                query_running,
+                query_running: running,
             });
         }
     }

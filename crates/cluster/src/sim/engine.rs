@@ -38,9 +38,9 @@ use std::fmt;
 use std::path::PathBuf;
 
 use super::admission::{AdmissionConfig, AdmissionStats, ShedPolicy};
-use super::arena::{EventQueue, QueueMode, NIL};
+use super::arena::{ArenaQueue, NIL};
 use super::checkpoint::{self, CheckpointError};
-use super::dispatch::{collect_runnable, query_demand, DispatchMode, DispatchState};
+use super::dispatch::{DispatchMode, DispatchState};
 use super::emit;
 use super::oracle::{DemandOracle, FrozenOracle};
 use super::recovery::{fail_query, Attempt, FaultState};
@@ -182,7 +182,7 @@ enum Drive {
 /// oracle's opaque state blob); `dstate` and `names` are derived —
 /// rebuilt on restore, never serialized.
 pub(super) struct RunState {
-    pub(super) queue: EventQueue,
+    pub(super) queue: ArenaQueue,
     pub(super) jobs: JobTable,
     pub(super) qstate: Vec<QueryState>,
     pub(super) preds: Vec<Vec<JobPrediction>>,
@@ -214,11 +214,9 @@ pub struct Simulator<S: Scheduler> {
     pub cost: CostModel,
     /// The scheduling policy under test.
     pub scheduler: S,
-    /// How the runnable view is derived (incremental by default).
+    /// Whether the incremental runnable view is crosschecked against a
+    /// from-scratch rebuild (off by default).
     pub dispatch: DispatchMode,
-    /// How the event queue is implemented (arena by default; see
-    /// [`QueueMode`]).
-    pub queue: QueueMode,
     /// The failure schedule to inject ([`FaultPlan::none`] by default —
     /// bit-identical to a fault-free run).
     pub faults: FaultPlan,
@@ -242,7 +240,6 @@ impl<S: Scheduler> Simulator<S> {
             cost,
             scheduler,
             dispatch: DispatchMode::default(),
-            queue: QueueMode::default(),
             faults: FaultPlan::none(),
             admission: AdmissionConfig::disabled(),
             max_events: None,
@@ -254,12 +251,6 @@ impl<S: Scheduler> Simulator<S> {
     /// Same simulator with an explicit [`DispatchMode`].
     pub fn with_dispatch(mut self, dispatch: DispatchMode) -> Self {
         self.dispatch = dispatch;
-        self
-    }
-
-    /// Same simulator with an explicit [`QueueMode`].
-    pub fn with_queue(mut self, queue: QueueMode) -> Self {
-        self.queue = queue;
         self
     }
 
@@ -529,7 +520,7 @@ impl<S: Scheduler> Simulator<S> {
         // nothing from it, leaving the duration stream — and therefore the
         // whole simulation — bit-identical to a fault-free run.
         let fault_rng = StdRng::seed_from_u64(self.faults.seed);
-        let mut queue = EventQueue::new(self.queue);
+        let mut queue = ArenaQueue::new();
 
         let jobs = JobTable::new(queries.iter().map(|q| q.jobs.len()));
         // Query names, interned once: the per-arrival QueryArrive emission
@@ -572,13 +563,10 @@ impl<S: Scheduler> Simulator<S> {
         // Seed every query's demand aggregates up front (WRD and critical
         // path depend only on done-task counts, which start at zero, not on
         // submission) so `Submit` handling stays O(1) per job.
-        let incremental = self.dispatch != DispatchMode::Reference;
         let mut dstate = DispatchState::new(queries.len(), self.config.total_containers());
-        if incremental {
-            for qi in 0..queries.len() {
-                dstate.refresh_query(queries, &jobs, &preds, qi);
-                prof.inc(Counter::SchedulerViewUpdates);
-            }
+        for qi in 0..queries.len() {
+            dstate.refresh_query(queries, &jobs, &preds, qi);
+            prof.inc(Counter::SchedulerViewUpdates);
         }
 
         RunState {
@@ -616,7 +604,7 @@ impl<S: Scheduler> Simulator<S> {
         suspend_after: Option<u64>,
     ) -> Result<Drive, SimError> {
         let admission_on = self.admission.is_active();
-        let incremental = self.dispatch != DispatchMode::Reference;
+        let crosscheck = self.dispatch == DispatchMode::Crosscheck;
         let mut fallback = Fifo;
 
         while let Some((t, event)) = rs.queue.pop() {
@@ -663,32 +651,10 @@ impl<S: Scheduler> Simulator<S> {
                             // out its resubmission backoff.
                             break 'event;
                         }
-                        // A query's remaining WRD, bitwise identical across
-                        // dispatch modes: the incrementally-maintained aggregate
-                        // where one exists, the from-scratch computation (which
-                        // the aggregate mirrors by construction) under
-                        // Reference dispatch.
-                        let containers = self.config.total_containers();
-                        let wrd_of = |vi: usize,
-                                      jobs: &JobTable,
-                                      preds: &[Vec<JobPrediction>],
-                                      state: &DispatchState|
-                         -> f64 {
-                            if incremental {
-                                state.aggs[vi].wrd
-                            } else {
-                                let mut acc = vec![0.0f64; queries[vi].jobs.len()];
-                                query_demand(
-                                    &queries[vi],
-                                    vi,
-                                    jobs,
-                                    &preds[vi],
-                                    containers,
-                                    &mut acc,
-                                )
-                                .0
-                            }
-                        };
+                        // A query's remaining WRD: the incrementally-maintained
+                        // aggregate (Crosscheck proves it equals a from-scratch
+                        // `query_demand`).
+                        let aggs = &rs.dstate.aggs;
                         // Admission decision: `victim` is whoever a full queue
                         // sheds — the newcomer under RejectNewest, or (under
                         // ShedLargestWrd) the waiting admitted query with the
@@ -698,12 +664,12 @@ impl<S: Scheduler> Simulator<S> {
                         if self.admission.queue_cap > 0 && rs.active >= self.admission.queue_cap {
                             victim = Some(q);
                             if self.admission.shed_policy == ShedPolicy::ShedLargestWrd {
-                                let mut best = wrd_of(q, &rs.jobs, &rs.preds, &rs.dstate);
+                                let mut best = aggs[q].wrd;
                                 for (vi, vs) in rs.qstate.iter().enumerate() {
                                     // Only waiting queries are evictable: once a
                                     // task has launched, sunk work is protected.
                                     if vs.admitted && vs.started.is_none() {
-                                        let w = wrd_of(vi, &rs.jobs, &rs.preds, &rs.dstate);
+                                        let w = aggs[vi].wrd;
                                         if w > best {
                                             best = w;
                                             victim = Some(vi);
@@ -712,7 +678,7 @@ impl<S: Scheduler> Simulator<S> {
                                 }
                             }
                         }
-                        let shed_wrd = victim.map(|v| wrd_of(v, &rs.jobs, &rs.preds, &rs.dstate));
+                        let shed_wrd = victim.map(|v| aggs[v].wrd);
                         if victim != Some(q) {
                             if let Some(v) = victim {
                                 // Evict the incumbent: it launched nothing, so
@@ -724,10 +690,8 @@ impl<S: Scheduler> Simulator<S> {
                                 }
                                 rs.qstate[v].admitted = false;
                                 rs.active -= 1;
-                                if incremental {
-                                    rs.dstate.resync_query(queries, &rs.jobs, &rs.preds, v);
-                                    prof.inc(Counter::SchedulerViewUpdates);
-                                }
+                                rs.dstate.resync_query(queries, &rs.jobs, &rs.preds, v);
+                                prof.inc(Counter::SchedulerViewUpdates);
                             }
                             rs.qstate[q].admitted = true;
                             rs.active += 1;
@@ -812,10 +776,8 @@ impl<S: Scheduler> Simulator<S> {
                                 &mut rs.free_slots,
                                 sink,
                             );
-                            if incremental {
-                                rs.dstate.remove_query(q);
-                                prof.inc(Counter::SchedulerViewUpdates);
-                            }
+                            rs.dstate.remove_query(q);
+                            prof.inc(Counter::SchedulerViewUpdates);
                         } else {
                             // Waiting out a shed backoff: nothing is running.
                             rs.qstate[q].failed = true;
@@ -857,10 +819,8 @@ impl<S: Scheduler> Simulator<S> {
                                 category: job.category,
                             }
                         );
-                        if incremental {
-                            rs.dstate.insert_job(queries, &rs.jobs, q, j);
-                            prof.inc(Counter::SchedulerViewUpdates);
-                        }
+                        rs.dstate.insert_job(queries, &rs.jobs, q, j);
+                        prof.inc(Counter::SchedulerViewUpdates);
                     }
                     Event::TaskDone { attempt } => {
                         if !rs.fr.attempts.alive[attempt] {
@@ -1017,17 +977,15 @@ impl<S: Scheduler> Simulator<S> {
                                     }
                                     // Query `q` refreshes in `on_task_done`
                                     // below; others resync here.
-                                    if changed && incremental && qi2 != q {
+                                    if changed && qi2 != q {
                                         rs.dstate.resync_query(queries, &rs.jobs, &rs.preds, qi2);
                                         prof.inc(Counter::SchedulerViewUpdates);
                                     }
                                 }
                             }
                         }
-                        if incremental {
-                            rs.dstate.on_task_done(queries, &rs.jobs, &rs.preds, q, j);
-                            prof.inc(Counter::SchedulerViewUpdates);
-                        }
+                        rs.dstate.on_task_done(queries, &rs.jobs, &rs.preds, q, j);
+                        prof.inc(Counter::SchedulerViewUpdates);
                     }
                     Event::TaskFailed { attempt } => {
                         if !rs.fr.attempts.alive[attempt] {
@@ -1111,10 +1069,8 @@ impl<S: Scheduler> Simulator<S> {
                                 rs.active -= 1;
                             }
                             rs.done_queries += 1;
-                            if incremental {
-                                rs.dstate.remove_query(a.q);
-                                prof.inc(Counter::SchedulerViewUpdates);
-                            }
+                            rs.dstate.remove_query(a.q);
+                            prof.inc(Counter::SchedulerViewUpdates);
                         }
                         // Blacklist a node that keeps failing tasks — but never
                         // the last usable one (a flaky node beats no node;
@@ -1150,14 +1106,12 @@ impl<S: Scheduler> Simulator<S> {
                                 rs.fr.node_failures[node] = 0;
                             }
                         }
-                        if incremental {
-                            affected.sort_unstable();
-                            affected.dedup();
-                            for &qi in &affected {
-                                if !rs.qstate[qi].failed {
-                                    rs.dstate.resync_query(queries, &rs.jobs, &rs.preds, qi);
-                                    prof.inc(Counter::SchedulerViewUpdates);
-                                }
+                        affected.sort_unstable();
+                        affected.dedup();
+                        for &qi in &affected {
+                            if !rs.qstate[qi].failed {
+                                rs.dstate.resync_query(queries, &rs.jobs, &rs.preds, qi);
+                                prof.inc(Counter::SchedulerViewUpdates);
                             }
                         }
                     }
@@ -1177,10 +1131,8 @@ impl<S: Scheduler> Simulator<S> {
                                 rs.jobs.lists[i].retry_reduces.push(spec_idx);
                             }
                         }
-                        if incremental {
-                            rs.dstate.resync_query(queries, &rs.jobs, &rs.preds, q);
-                            prof.inc(Counter::SchedulerViewUpdates);
-                        }
+                        rs.dstate.resync_query(queries, &rs.jobs, &rs.preds, q);
+                        prof.inc(Counter::SchedulerViewUpdates);
                     }
                     Event::NodeDown { crash } => {
                         let nc = self.faults.node_crashes[crash];
@@ -1276,13 +1228,11 @@ impl<S: Scheduler> Simulator<S> {
                                 },
                             );
                         }
-                        if incremental {
-                            affected.sort_unstable();
-                            affected.dedup();
-                            for &qi in &affected {
-                                rs.dstate.resync_query(queries, &rs.jobs, &rs.preds, qi);
-                                prof.inc(Counter::SchedulerViewUpdates);
-                            }
+                        affected.sort_unstable();
+                        affected.dedup();
+                        for &qi in &affected {
+                            rs.dstate.resync_query(queries, &rs.jobs, &rs.preds, qi);
+                            prof.inc(Counter::SchedulerViewUpdates);
                         }
                     }
                     Event::NodeUp { node, epoch } => {
@@ -1306,32 +1256,22 @@ impl<S: Scheduler> Simulator<S> {
                 // quarantined predictions or moved the trust score across a
                 // hysteresis threshold; surface that before dispatching.
                 surface_guard_activity(oracle, sink, now, &mut rs.degraded, fallback.name());
-                if self.dispatch == DispatchMode::Crosscheck {
-                    rs.dstate.crosscheck(queries, &rs.jobs, &rs.preds, "after event");
+                if crosscheck {
+                    rs.dstate.crosscheck(queries, &rs.jobs, &rs.preds, &rs.qstate, "after event");
                 }
 
-                // Dispatch free containers. Incremental modes read the
-                // maintained runnable view; Reference rebuilds it from scratch
-                // once per free container, exactly as the pre-incremental
-                // engine did.
+                // Dispatch free containers from the maintained runnable view.
                 while !rs.free_slots.is_empty() {
-                    let rebuilt;
-                    let runnable: &[RunnableJob] = match self.dispatch {
-                        DispatchMode::Incremental => &rs.dstate.runnable,
-                        DispatchMode::Crosscheck => {
-                            rs.dstate.crosscheck(queries, &rs.jobs, &rs.preds, "before pick");
-                            &rs.dstate.runnable
-                        }
-                        DispatchMode::Reference => {
-                            rebuilt = collect_runnable(
-                                queries,
-                                &rs.jobs,
-                                &rs.preds,
-                                self.config.total_containers(),
-                            );
-                            &rebuilt
-                        }
-                    };
+                    if crosscheck {
+                        rs.dstate.crosscheck(
+                            queries,
+                            &rs.jobs,
+                            &rs.preds,
+                            &rs.qstate,
+                            "before pick",
+                        );
+                    }
+                    let runnable: &[RunnableJob] = &rs.dstate.runnable;
                     // In degraded mode (a guarded oracle's trust collapsed),
                     // semantics-blind FIFO replaces the configured policy until
                     // trust recovers past the exit threshold.
@@ -1589,10 +1529,8 @@ impl<S: Scheduler> Simulator<S> {
                         }
                         None => rs.queue.push(now + duration, Event::TaskDone { attempt: id }),
                     }
-                    if incremental {
-                        rs.dstate.on_dispatch(&rs.jobs, c.query.into(), c.job.into());
-                        prof.inc(Counter::SchedulerViewUpdates);
-                    }
+                    rs.dstate.on_dispatch(&rs.jobs, c.query.into(), c.job.into());
+                    prof.inc(Counter::SchedulerViewUpdates);
                 }
             }
             if rs.done_queries == queries.len() {

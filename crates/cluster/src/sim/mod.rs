@@ -4,7 +4,7 @@
 //! * `admission` — the bounded pending queue, shed policies, per-query
 //!   deadlines, and resubmission backoff ([`AdmissionConfig`]),
 //! * `arena` — the arena-backed event queue (packed records, `u32`
-//!   handles, slab freelist) behind the [`QueueMode`] seam,
+//!   handles, slab freelist),
 //! * `checkpoint` — versioned, checksummed engine snapshots
 //!   (`sapred-ckpt/v1`) for suspend/resume ([`CheckpointError`]),
 //! * `state` — the event types and the struct-of-arrays per-query /
@@ -46,7 +46,6 @@ macro_rules! emit {
 pub(crate) use emit;
 
 pub use admission::{AdmissionConfig, AdmissionStats, ShedPolicy};
-pub use arena::QueueMode;
 pub use checkpoint::CheckpointError;
 pub use dispatch::DispatchMode;
 pub use engine::{RunOutcome, SimError, Simulator};

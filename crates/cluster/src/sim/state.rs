@@ -1,6 +1,6 @@
-//! Core simulation state: the event heap's ordered time and event types,
-//! and the per-job / per-query bookkeeping every other `sim` submodule
-//! (engine, dispatch, recovery, report) operates on.
+//! Core simulation state: the event types, and the per-job / per-query
+//! bookkeeping every other `sim` submodule (engine, dispatch, recovery,
+//! report) operates on.
 
 use crate::job::TaskKind;
 use sapred_obs::TaskPhase;
@@ -9,24 +9,6 @@ pub(super) fn phase_of(kind: TaskKind) -> TaskPhase {
     match kind {
         TaskKind::Map => TaskPhase::Map,
         TaskKind::Reduce => TaskPhase::Reduce,
-    }
-}
-
-/// Totally ordered f64 for the event heap (no NaNs by construction).
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub(super) struct Time(pub(super) f64);
-
-impl Eq for Time {}
-
-impl PartialOrd for Time {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-
-impl Ord for Time {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        self.0.total_cmp(&other.0)
     }
 }
 

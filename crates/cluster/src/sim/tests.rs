@@ -268,43 +268,44 @@ fn mixed_workload() -> Vec<SimQuery> {
     ]
 }
 
-fn assert_incremental_matches_reference<S: Scheduler + Clone>(s: S) {
+/// Run `queries` on the simulator `make` builds twice — as configured,
+/// and under [`DispatchMode::Crosscheck`] — and demand bit-identical
+/// reports and event streams. Crosscheck re-derives the scheduler view
+/// from scratch after every event and before every pick and panics on
+/// divergence, so completing at all is the first assertion; equality
+/// proves the oracle itself leaves the schedule untouched. Returns the
+/// default run's report and events.
+fn assert_crosscheck_matches_default<S: Scheduler>(
+    make: impl Fn() -> Simulator<S>,
+    queries: &[SimQuery],
+) -> (SimReport, Vec<sapred_obs::Event>) {
     use sapred_obs::RecordingSink;
-    let queries = mixed_workload();
-    let mut rec_inc = RecordingSink::new();
-    let inc = sim(s.clone()).run_with(&queries, &mut rec_inc);
-    let mut rec_ref = RecordingSink::new();
-    let refr = sim(s).with_dispatch(DispatchMode::Reference).run_with(&queries, &mut rec_ref);
+    let mut rec_default = RecordingSink::new();
+    let base = make().run_with(queries, &mut rec_default);
+    let mut rec_cc = RecordingSink::new();
+    let cc = make().with_dispatch(DispatchMode::Crosscheck).run_with(queries, &mut rec_cc);
     // Bit-identical reports: same schedule, same clock, same stats.
-    assert_eq!(inc.makespan.to_bits(), refr.makespan.to_bits());
-    assert_eq!(inc.queries, refr.queries);
-    assert_eq!(inc.jobs, refr.jobs);
+    assert_eq!(base.makespan.to_bits(), cc.makespan.to_bits());
+    assert_eq!(base.queries, cc.queries);
+    assert_eq!(base.jobs, cc.jobs);
+    assert_eq!(base.admission, cc.admission);
     // Identical event streams — including every Decision record's
     // candidate list and f64 scores.
-    assert_eq!(rec_inc.events, rec_ref.events);
+    assert_eq!(rec_default.events, rec_cc.events);
+    (base, rec_default.events)
 }
 
 #[test]
-fn incremental_matches_reference_for_all_schedulers() {
-    use crate::sched::{Hfs, Srt};
-    assert_incremental_matches_reference(Fifo);
-    assert_incremental_matches_reference(Hcs);
-    assert_incremental_matches_reference(Hfs);
-    assert_incremental_matches_reference(Swrd);
-    assert_incremental_matches_reference(Srt);
-    assert_incremental_matches_reference(crate::sched::HcsQueues::new(vec![0.5, 0.5]));
-}
-
-#[test]
-fn crosscheck_mode_verifies_every_event() {
-    // Crosscheck re-derives the reference view after every event and
-    // before every pick and panics on divergence, so completing at all
-    // is the assertion.
+fn crosscheck_matches_default_for_all_schedulers() {
+    use crate::sched::{HcsQueues, Hfs, Srt};
     let queries = mixed_workload();
-    sim(Swrd).with_dispatch(DispatchMode::Crosscheck).run(&queries);
-    sim(crate::sched::HcsQueues::new(vec![0.6, 0.4]))
-        .with_dispatch(DispatchMode::Crosscheck)
-        .run(&queries);
+    assert_crosscheck_matches_default(|| sim(Fifo), &queries);
+    assert_crosscheck_matches_default(|| sim(Hcs), &queries);
+    assert_crosscheck_matches_default(|| sim(Hfs), &queries);
+    assert_crosscheck_matches_default(|| sim(Swrd), &queries);
+    assert_crosscheck_matches_default(|| sim(Srt), &queries);
+    assert_crosscheck_matches_default(|| sim(HcsQueues::new(vec![0.5, 0.5])), &queries);
+    assert_crosscheck_matches_default(|| sim(HcsQueues::new(vec![0.6, 0.4])), &queries);
 }
 
 #[test]
@@ -792,30 +793,27 @@ impl DemandOracle for BlendingOracle {
 }
 
 #[test]
-fn recalibrating_oracle_keeps_incremental_and_reference_in_lockstep() {
-    use sapred_obs::{NullSink, RecordingSink};
-    // Crosscheck re-derives the reference runnable view after every event
-    // and panics on divergence, so mid-run prediction changes must flow
-    // through resync correctly for this to complete at all.
+fn recalibrating_oracle_keeps_crosscheck_and_default_in_lockstep() {
+    use sapred_obs::RecordingSink;
+    // Crosscheck re-derives the scheduler view after every event and
+    // panics on divergence, so mid-run prediction changes must flow
+    // through resync correctly for this to complete at all — and the
+    // checked run must stay bit-identical to the default one.
     let queries = mixed_workload();
-    sim(Swrd).with_dispatch(DispatchMode::Crosscheck).run_with_oracle(
-        &queries,
-        &mut NullSink,
-        &mut BlendingOracle::default(),
-    );
-
-    // And incremental vs reference stay bit-identical end to end.
-    let mut rec_inc = RecordingSink::new();
-    let inc = sim(Swrd).run_with_oracle(&queries, &mut rec_inc, &mut BlendingOracle::default());
-    let mut rec_ref = RecordingSink::new();
-    let refr = sim(Swrd).with_dispatch(DispatchMode::Reference).run_with_oracle(
-        &queries,
-        &mut rec_ref,
-        &mut BlendingOracle::default(),
-    );
-    assert_eq!(inc.makespan.to_bits(), refr.makespan.to_bits());
-    assert_eq!(inc.queries, refr.queries);
-    assert_eq!(rec_inc.events, rec_ref.events);
+    let run = |dispatch: DispatchMode| {
+        let mut rec = RecordingSink::new();
+        let r = sim(Swrd).with_dispatch(dispatch).run_with_oracle(
+            &queries,
+            &mut rec,
+            &mut BlendingOracle::default(),
+        );
+        (r, rec.events)
+    };
+    let (base, base_events) = run(DispatchMode::Incremental);
+    let (cc, cc_events) = run(DispatchMode::Crosscheck);
+    assert_eq!(base.makespan.to_bits(), cc.makespan.to_bits());
+    assert_eq!(base.queries, cc.queries);
+    assert_eq!(base_events, cc_events);
 }
 
 #[test]
@@ -991,11 +989,10 @@ fn shed_query_resubmits_with_backoff_and_eventually_completes() {
 }
 
 #[test]
-fn admission_keeps_incremental_and_reference_in_lockstep() {
-    use sapred_obs::RecordingSink;
-    // Shedding under ShedLargestWrd consults each candidate's WRD, which
-    // must be bitwise identical whether it comes from the incremental
-    // aggregates or the from-scratch reference computation.
+fn admission_keeps_crosscheck_and_default_in_lockstep() {
+    // Shedding under ShedLargestWrd consults each candidate's WRD from
+    // the incremental aggregates; Crosscheck compares them against the
+    // from-scratch `query_demand` after every event.
     let admission = AdmissionConfig {
         queue_cap: 2,
         deadline: 120.0,
@@ -1004,26 +1001,60 @@ fn admission_keeps_incremental_and_reference_in_lockstep() {
         resubmit_base: 20.0,
         resubmit_cap: 40.0,
     };
-    let queries = mixed_workload();
-    let mut rec_inc = RecordingSink::new();
-    let inc = Simulator::new(small_config(), CostModel::default(), Swrd)
-        .with_admission(admission)
-        .run_with(&queries, &mut rec_inc);
-    let mut rec_ref = RecordingSink::new();
-    let refr = Simulator::new(small_config(), CostModel::default(), Swrd)
-        .with_admission(admission)
-        .with_dispatch(DispatchMode::Reference)
-        .run_with(&queries, &mut rec_ref);
-    assert_eq!(inc.makespan.to_bits(), refr.makespan.to_bits());
-    assert_eq!(inc.queries, refr.queries);
-    assert_eq!(inc.admission, refr.admission);
-    assert_eq!(rec_inc.events, rec_ref.events);
-    // Crosscheck additionally re-derives the reference view after every
-    // event, so completing at all asserts the eviction resyncs.
-    Simulator::new(small_config(), CostModel::default(), Swrd)
-        .with_admission(admission)
-        .with_dispatch(DispatchMode::Crosscheck)
-        .run(&queries);
+    assert_crosscheck_matches_default(
+        || Simulator::new(small_config(), CostModel::default(), Swrd).with_admission(admission),
+        &mixed_workload(),
+    );
+}
+
+#[test]
+fn overloaded_shed_largest_wrd_passes_crosscheck() {
+    use sapred_obs::Event as Ob;
+    // A stream of heavy chained queries interleaved with light ones,
+    // arriving faster than the contended cluster drains them: heavy
+    // queries wait admitted but unstarted — often with no runnable job —
+    // and light newcomers evict them by WRD. Those waiting queries' WRD
+    // aggregates are what Crosscheck's per-query check covers beyond the
+    // runnable set.
+    let queries: Vec<SimQuery> = (0..16)
+        .map(|i| {
+            let at = 0.3 * i as f64;
+            if i % 3 == 2 {
+                simple_query(&format!("light{i}"), at, 2, 1)
+            } else {
+                chained_query(&format!("heavy{i}"), at, 3, 8 + 4 * (i % 4))
+            }
+        })
+        .collect();
+    let admission = AdmissionConfig {
+        queue_cap: 3,
+        deadline: 400.0,
+        shed_policy: ShedPolicy::ShedLargestWrd,
+        max_resubmits: 2,
+        resubmit_base: 5.0,
+        resubmit_cap: 20.0,
+    };
+    let (report, events) = assert_crosscheck_matches_default(
+        || Simulator::new(small_config(), CostModel::default(), Swrd).with_admission(admission),
+        &queries,
+    );
+    // The run really was overloaded: some shed hit an incumbent, i.e. a
+    // query shed after the instant it last tried to get admitted (a shed
+    // newcomer is shed at its own arrival or resubmission time).
+    let mut attempt_at: Vec<f64> = queries.iter().map(|q| q.arrival).collect();
+    let mut evictions = 0;
+    for e in &events {
+        if let Ob::QueryShed { t, query, will_resubmit, resubmit_at, .. } = e {
+            if *t > attempt_at[query.0] {
+                evictions += 1;
+            }
+            if *will_resubmit {
+                attempt_at[query.0] = *resubmit_at;
+            }
+        }
+    }
+    assert!(evictions > 0, "no waiting incumbent was evicted");
+    assert!(report.admission.resubmissions > 0);
 }
 
 /// Oracle whose every answer is garbage: NaN map times, negative reduce
@@ -1214,21 +1245,49 @@ fn profiled_run_counts_faulted_paths() {
 }
 
 // ---------------------------------------------------------------------
-// Arena event queue vs. the reference BinaryHeap (ISSUE 9 satellite).
+// Arena event queue vs. a `BinaryHeap` oracle.
 //
 // The engine's only correctness obligation on the queue is the pop
-// *stream*: identical `(time, seq, event)` triples in identical order.
-// The proptest drives both implementations through the same random
+// *stream*: identical `(time, event)` pairs in `(time, seq)` order, where
+// `seq` is the push index. The proptest drives the arena and a plain
+// `BinaryHeap<Reverse<(Time, u64, Event)>>` through the same random
 // interleaving of pushes and pops — including the engine's
 // lazy-invalidation pattern, where a popped `TaskDone`/`TaskFailed`
 // may refer to an attempt that was killed after the push — and demands
 // the streams match element-for-element, then drains both to empty.
 
-mod arena_vs_reference {
-    use super::super::arena::{ArenaQueue, RefQueue};
+mod arena_vs_heap_oracle {
+    use super::super::arena::ArenaQueue;
     use super::super::state::Event;
     use crate::job::TaskKind;
     use proptest::prelude::*;
+    use std::cmp::Reverse;
+    use std::collections::BinaryHeap;
+
+    /// Totally ordered f64 for the oracle heap (no NaNs by construction).
+    #[derive(Debug, Clone, Copy, PartialEq)]
+    struct Time(f64);
+
+    impl Eq for Time {}
+
+    impl PartialOrd for Time {
+        fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
+            Some(self.cmp(other))
+        }
+    }
+
+    impl Ord for Time {
+        fn cmp(&self, other: &Self) -> std::cmp::Ordering {
+            self.0.total_cmp(&other.0)
+        }
+    }
+
+    /// The engine's original event queue, keyed by `(time, push index)`.
+    type Oracle = BinaryHeap<Reverse<(Time, u64, Event)>>;
+
+    fn pop_oracle(h: &mut Oracle) -> Option<(f64, Event)> {
+        h.pop().map(|Reverse((t, _, e))| (t.0, e))
+    }
 
     /// One scripted queue operation. `Push` carries raw integers rather
     /// than an `Event` so shrinking stays effective (proptest shrinks
@@ -1280,26 +1339,27 @@ mod arena_vs_reference {
         #[test]
         fn pop_streams_match_the_reference_heap(ops in prop::collection::vec(op_strategy(), 0..400)) {
             let mut arena = ArenaQueue::new();
-            let mut reference = RefQueue::new();
+            let mut oracle: Oracle = BinaryHeap::new();
             let mut seq = 0u64;
             for op in ops {
                 match op {
                     Op::Push { time_8ths, shape, a, b } => {
                         let time = f64::from(time_8ths) / 8.0;
                         let event = event_of(shape, a, b);
-                        arena.push(time, seq, &event);
-                        reference.push(time, seq, event);
+                        arena.push(time, event);
+                        oracle.push(Reverse((Time(time), seq, event)));
                         seq += 1;
                     }
                     Op::Pop => {
-                        prop_assert_eq!(arena.pop(), reference.pop());
+                        prop_assert_eq!(arena.pop(), pop_oracle(&mut oracle));
                     }
                 }
-                prop_assert_eq!(arena.len(), reference.len());
+                prop_assert_eq!(arena.len(), oracle.len());
+                prop_assert_eq!(arena.seq(), seq);
             }
             // Drain: whatever interleaving ran, the remainders agree too.
             loop {
-                let (x, y) = (arena.pop(), reference.pop());
+                let (x, y) = (arena.pop(), pop_oracle(&mut oracle));
                 prop_assert_eq!(&x, &y);
                 if x.is_none() {
                     break;

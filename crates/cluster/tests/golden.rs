@@ -14,7 +14,7 @@ use sapred_cluster::fault::{FaultPlan, NodeCrash};
 use sapred_cluster::job::{JobPrediction, SimJob, SimQuery, TaskKind, TaskSpec};
 use sapred_cluster::sched::{Fifo, Hcs, HcsQueues, Hfs, Scheduler, Srt, Swrd};
 use sapred_cluster::sim::{
-    AdmissionConfig, ClusterConfig, DemandOracle, FrozenOracle, GuardedOracle, QueueMode,
+    AdmissionConfig, ClusterConfig, DemandOracle, DispatchMode, FrozenOracle, GuardedOracle,
     ShedPolicy, SimReport, Simulator,
 };
 use sapred_cluster::{CostModel, JobId, QueryId};
@@ -192,8 +192,8 @@ fn stress_plan() -> FaultPlan {
     }
 }
 
-fn run<S: Scheduler>(sched: S, faults: Option<FaultPlan>, queue: QueueMode) -> (u64, u64) {
-    let mut sim = Simulator::new(config(), CostModel::default(), sched).with_queue(queue);
+fn run<S: Scheduler>(sched: S, faults: Option<FaultPlan>, dispatch: DispatchMode) -> (u64, u64) {
+    let mut sim = Simulator::new(config(), CostModel::default(), sched).with_dispatch(dispatch);
     if let Some(plan) = faults {
         sim = sim.with_faults(plan);
     }
@@ -208,10 +208,10 @@ fn run<S: Scheduler>(sched: S, faults: Option<FaultPlan>, queue: QueueMode) -> (
 fn run_inert_robustness<S: Scheduler>(
     sched: S,
     faults: Option<FaultPlan>,
-    queue: QueueMode,
+    dispatch: DispatchMode,
 ) -> (u64, u64) {
     let mut sim = Simulator::new(config(), CostModel::default(), sched)
-        .with_queue(queue)
+        .with_dispatch(dispatch)
         .with_admission(AdmissionConfig::disabled());
     if let Some(plan) = faults {
         sim = sim.with_faults(plan);
@@ -232,50 +232,59 @@ struct Pin {
     events: u64,
 }
 
+/// The six schedulers on the fault-free workload.
+const FAULT_FREE: [Pin; 6] = [
+    Pin { name: "FIFO", report: 0xabbade97005267aa, events: 0xb23c2cfc9fc22c9b },
+    Pin { name: "HCS", report: 0x43681221442434de, events: 0xc8afba2594525dfe },
+    Pin { name: "HFS", report: 0xc7ffc822cdab84e7, events: 0x401aa82e979fba64 },
+    Pin { name: "SWRD", report: 0xa3ea1b4ac7498dfd, events: 0xde08a852b54cf331 },
+    Pin { name: "SRT", report: 0xa3ea1b4ac7498dfd, events: 0x9a67e2f0268a5d78 },
+    Pin { name: "HCS-queues", report: 0x0d5adba6f7a78a9d, events: 0x5e2b9168c3a6f870 },
+];
+
+/// The six schedulers under [`stress_plan`].
+const FAULTED: [Pin; 6] = [
+    Pin { name: "FIFO", report: 0xe482ed51d2b1ab54, events: 0x15e87afb37e9eb7b },
+    Pin { name: "HCS", report: 0x7fcb563e59e21c9b, events: 0xfd8c540b49d3b489 },
+    Pin { name: "HFS", report: 0x14908a9ae85f03cc, events: 0x3ccb0c75163d2316 },
+    Pin { name: "SWRD", report: 0xb05f9048145b7627, events: 0x08f700f177e98c51 },
+    Pin { name: "SRT", report: 0xb05f9048145b7627, events: 0x7aa0a0401b121719 },
+    Pin { name: "HCS-queues", report: 0x52f14c66ec9667ac, events: 0xf0d169b8532b0933 },
+];
+
 fn run_named(
     name: &str,
     faults: Option<FaultPlan>,
     inert_robustness: bool,
-    queue: QueueMode,
+    dispatch: DispatchMode,
 ) -> (u64, u64) {
     fn go<S: Scheduler>(
         s: S,
         faults: Option<FaultPlan>,
         inert: bool,
-        queue: QueueMode,
+        dispatch: DispatchMode,
     ) -> (u64, u64) {
         if inert {
-            run_inert_robustness(s, faults, queue)
+            run_inert_robustness(s, faults, dispatch)
         } else {
-            run(s, faults, queue)
+            run(s, faults, dispatch)
         }
     }
     match name {
-        "FIFO" => go(Fifo, faults, inert_robustness, queue),
-        "HCS" => go(Hcs, faults, inert_robustness, queue),
-        "HFS" => go(Hfs, faults, inert_robustness, queue),
-        "SWRD" => go(Swrd, faults, inert_robustness, queue),
-        "SRT" => go(Srt, faults, inert_robustness, queue),
-        "HCS-queues" => go(HcsQueues::new(vec![0.5, 0.5]), faults, inert_robustness, queue),
+        "FIFO" => go(Fifo, faults, inert_robustness, dispatch),
+        "HCS" => go(Hcs, faults, inert_robustness, dispatch),
+        "HFS" => go(Hfs, faults, inert_robustness, dispatch),
+        "SWRD" => go(Swrd, faults, inert_robustness, dispatch),
+        "SRT" => go(Srt, faults, inert_robustness, dispatch),
+        "HCS-queues" => go(HcsQueues::new(vec![0.5, 0.5]), faults, inert_robustness, dispatch),
         other => panic!("unknown scheduler {other}"),
     }
 }
 
-fn check(pins: &[Pin], faults: Option<FaultPlan>) {
-    check_mode(pins, faults, false)
-}
-
-fn check_mode(pins: &[Pin], faults: Option<FaultPlan>, inert_robustness: bool) {
-    // The default queue is the arena: every plain `check` call already
-    // pins the arena queue against the fingerprints captured from the
-    // pre-arena BinaryHeap engine.
-    check_queue(pins, faults, inert_robustness, QueueMode::default())
-}
-
-fn check_queue(pins: &[Pin], faults: Option<FaultPlan>, inert_robustness: bool, queue: QueueMode) {
+fn check(pins: &[Pin], faults: Option<FaultPlan>, inert_robustness: bool, dispatch: DispatchMode) {
     let mut failures = Vec::new();
     for pin in pins {
-        let (report, events) = run_named(pin.name, faults.clone(), inert_robustness, queue);
+        let (report, events) = run_named(pin.name, faults.clone(), inert_robustness, dispatch);
         if (report, events) != (pin.report, pin.events) {
             failures.push(format!(
                 "{}: report {report:#018x} (pinned {:#018x}), events {events:#018x} \
@@ -293,87 +302,28 @@ fn check_queue(pins: &[Pin], faults: Option<FaultPlan>, inert_robustness: bool, 
 
 #[test]
 fn fault_free_reports_and_event_streams_are_bit_identical_to_golden() {
-    check(
-        &[
-            Pin { name: "FIFO", report: 0xabbade97005267aa, events: 0xb23c2cfc9fc22c9b },
-            Pin { name: "HCS", report: 0x43681221442434de, events: 0xc8afba2594525dfe },
-            Pin { name: "HFS", report: 0xc7ffc822cdab84e7, events: 0x401aa82e979fba64 },
-            Pin { name: "SWRD", report: 0xa3ea1b4ac7498dfd, events: 0xde08a852b54cf331 },
-            Pin { name: "SRT", report: 0xa3ea1b4ac7498dfd, events: 0x9a67e2f0268a5d78 },
-            Pin { name: "HCS-queues", report: 0x0d5adba6f7a78a9d, events: 0x5e2b9168c3a6f870 },
-        ],
-        None,
-    );
+    check(&FAULT_FREE, None, false, DispatchMode::Incremental);
 }
 
 #[test]
 fn faulted_reports_and_event_streams_are_bit_identical_to_golden() {
-    check(
-        &[
-            Pin { name: "FIFO", report: 0xe482ed51d2b1ab54, events: 0x15e87afb37e9eb7b },
-            Pin { name: "HCS", report: 0x7fcb563e59e21c9b, events: 0xfd8c540b49d3b489 },
-            Pin { name: "HFS", report: 0x14908a9ae85f03cc, events: 0x3ccb0c75163d2316 },
-            Pin { name: "SWRD", report: 0xb05f9048145b7627, events: 0x08f700f177e98c51 },
-            Pin { name: "SRT", report: 0xb05f9048145b7627, events: 0x7aa0a0401b121719 },
-            Pin { name: "HCS-queues", report: 0x52f14c66ec9667ac, events: 0xf0d169b8532b0933 },
-        ],
-        Some(stress_plan()),
-    );
+    check(&FAULTED, Some(stress_plan()), false, DispatchMode::Incremental);
 }
 
 // ---------------------------------------------------------------------
-// Queue-mode crosscheck: the 12 golden cells re-run with the arena queue
-// and the reference BinaryHeap driven in lockstep, panicking on the first
-// divergence in popped (time, seq, event) — and still matching the pins.
+// Dispatch crosscheck: the 12 golden cells re-run with the incremental
+// scheduler view compared against a from-scratch rebuild after every
+// event and before every pick, panicking on the first divergence — and
+// still matching the pins.
 
 #[test]
-fn crosscheck_queue_reproduces_fault_free_golden() {
-    check_queue(
-        &[
-            Pin { name: "FIFO", report: 0xabbade97005267aa, events: 0xb23c2cfc9fc22c9b },
-            Pin { name: "HCS", report: 0x43681221442434de, events: 0xc8afba2594525dfe },
-            Pin { name: "HFS", report: 0xc7ffc822cdab84e7, events: 0x401aa82e979fba64 },
-            Pin { name: "SWRD", report: 0xa3ea1b4ac7498dfd, events: 0xde08a852b54cf331 },
-            Pin { name: "SRT", report: 0xa3ea1b4ac7498dfd, events: 0x9a67e2f0268a5d78 },
-            Pin { name: "HCS-queues", report: 0x0d5adba6f7a78a9d, events: 0x5e2b9168c3a6f870 },
-        ],
-        None,
-        false,
-        QueueMode::Crosscheck,
-    );
+fn crosscheck_dispatch_reproduces_fault_free_golden() {
+    check(&FAULT_FREE, None, false, DispatchMode::Crosscheck);
 }
 
 #[test]
-fn crosscheck_queue_reproduces_faulted_golden() {
-    check_queue(
-        &[
-            Pin { name: "FIFO", report: 0xe482ed51d2b1ab54, events: 0x15e87afb37e9eb7b },
-            Pin { name: "HCS", report: 0x7fcb563e59e21c9b, events: 0xfd8c540b49d3b489 },
-            Pin { name: "HFS", report: 0x14908a9ae85f03cc, events: 0x3ccb0c75163d2316 },
-            Pin { name: "SWRD", report: 0xb05f9048145b7627, events: 0x08f700f177e98c51 },
-            Pin { name: "SRT", report: 0xb05f9048145b7627, events: 0x7aa0a0401b121719 },
-            Pin { name: "HCS-queues", report: 0x52f14c66ec9667ac, events: 0xf0d169b8532b0933 },
-        ],
-        Some(stress_plan()),
-        false,
-        QueueMode::Crosscheck,
-    );
-}
-
-/// The explicit reference queue (the retired `BinaryHeap`) also still
-/// reproduces every pin — the seam keeps the executable specification
-/// runnable, not just the crosscheck.
-#[test]
-fn reference_queue_reproduces_faulted_golden() {
-    check_queue(
-        &[
-            Pin { name: "SWRD", report: 0xb05f9048145b7627, events: 0x08f700f177e98c51 },
-            Pin { name: "HCS-queues", report: 0x52f14c66ec9667ac, events: 0xf0d169b8532b0933 },
-        ],
-        Some(stress_plan()),
-        false,
-        QueueMode::Reference,
-    );
+fn crosscheck_dispatch_reproduces_faulted_golden() {
+    check(&FAULTED, Some(stress_plan()), false, DispatchMode::Crosscheck);
 }
 
 // ---------------------------------------------------------------------
@@ -384,35 +334,13 @@ fn reference_queue_reproduces_faulted_golden() {
 /// perturb behavior when it is switched off.
 #[test]
 fn inert_robustness_stack_reproduces_fault_free_golden() {
-    check_mode(
-        &[
-            Pin { name: "FIFO", report: 0xabbade97005267aa, events: 0xb23c2cfc9fc22c9b },
-            Pin { name: "HCS", report: 0x43681221442434de, events: 0xc8afba2594525dfe },
-            Pin { name: "HFS", report: 0xc7ffc822cdab84e7, events: 0x401aa82e979fba64 },
-            Pin { name: "SWRD", report: 0xa3ea1b4ac7498dfd, events: 0xde08a852b54cf331 },
-            Pin { name: "SRT", report: 0xa3ea1b4ac7498dfd, events: 0x9a67e2f0268a5d78 },
-            Pin { name: "HCS-queues", report: 0x0d5adba6f7a78a9d, events: 0x5e2b9168c3a6f870 },
-        ],
-        None,
-        true,
-    );
+    check(&FAULT_FREE, None, true, DispatchMode::Incremental);
 }
 
 /// Same inert-stack invariant under the stress fault plan.
 #[test]
 fn inert_robustness_stack_reproduces_faulted_golden() {
-    check_mode(
-        &[
-            Pin { name: "FIFO", report: 0xe482ed51d2b1ab54, events: 0x15e87afb37e9eb7b },
-            Pin { name: "HCS", report: 0x7fcb563e59e21c9b, events: 0xfd8c540b49d3b489 },
-            Pin { name: "HFS", report: 0x14908a9ae85f03cc, events: 0x3ccb0c75163d2316 },
-            Pin { name: "SWRD", report: 0xb05f9048145b7627, events: 0x08f700f177e98c51 },
-            Pin { name: "SRT", report: 0xb05f9048145b7627, events: 0x7aa0a0401b121719 },
-            Pin { name: "HCS-queues", report: 0x52f14c66ec9667ac, events: 0xf0d169b8532b0933 },
-        ],
-        Some(stress_plan()),
-        true,
-    );
+    check(&FAULTED, Some(stress_plan()), true, DispatchMode::Incremental);
 }
 
 /// An oracle whose every prediction is garbage: NaN map times and negative

@@ -1,9 +1,9 @@
 //! Property tests for the incremental dispatch state: on random DAG
-//! workloads, the materialized runnable view must equal the from-scratch
-//! [`collect_runnable`] reference after every event and before every pick
+//! workloads, the materialized runnable view and per-query aggregates must
+//! equal a from-scratch rebuild after every event and before every pick
 //! ([`DispatchMode::Crosscheck`] asserts exactly that inside the engine),
-//! and a full incremental run must produce a bit-identical report to a
-//! reference run — for every scheduler.
+//! and the checked run must produce a bit-identical report to an unchecked
+//! one — for every scheduler.
 
 use proptest::prelude::*;
 use sapred_cluster::{
@@ -77,20 +77,18 @@ fn check_one<S: Scheduler + Clone>(
     plan: &FaultPlan,
 ) -> Result<(), TestCaseError> {
     // Crosscheck panics inside the engine the moment the materialized state
-    // diverges from collect_runnable, event by event.
-    let inc = Simulator::new(config(), CostModel::default(), s.clone())
+    // diverges from the from-scratch rebuild, event by event.
+    let checked = Simulator::new(config(), CostModel::default(), s.clone())
         .with_dispatch(DispatchMode::Crosscheck)
         .with_faults(plan.clone())
         .run(queries);
-    let refr = Simulator::new(config(), CostModel::default(), s)
-        .with_dispatch(DispatchMode::Reference)
-        .with_faults(plan.clone())
-        .run(queries);
+    let plain =
+        Simulator::new(config(), CostModel::default(), s).with_faults(plan.clone()).run(queries);
     // And the end-to-end reports agree bit-for-bit.
-    prop_assert_eq!(inc.makespan.to_bits(), refr.makespan.to_bits());
-    prop_assert_eq!(&inc.queries, &refr.queries);
-    prop_assert_eq!(&inc.jobs, &refr.jobs);
-    prop_assert_eq!(&inc.faults, &refr.faults);
+    prop_assert_eq!(checked.makespan.to_bits(), plain.makespan.to_bits());
+    prop_assert_eq!(&checked.queries, &plain.queries);
+    prop_assert_eq!(&checked.jobs, &plain.jobs);
+    prop_assert_eq!(&checked.faults, &plain.faults);
     Ok(())
 }
 

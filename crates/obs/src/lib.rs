@@ -38,6 +38,7 @@
 pub mod drift;
 pub mod event;
 pub mod fsutil;
+pub mod hash;
 pub mod ids;
 pub mod json;
 pub mod metrics;
@@ -48,6 +49,7 @@ pub mod trace;
 pub use drift::{DriftStat, DriftTracker};
 pub use event::{Candidate, DownReason, Event, Quantity, TaskPhase};
 pub use fsutil::write_atomic;
+pub use hash::{fnv1a, fnv1a_extend};
 pub use ids::{JobId, NodeId, QueryId};
 pub use metrics::{Histogram, MetricsRegistry, MetricsSink};
 pub use profile::{Counter, NullProfiler, Profiler, SpanProfiler};

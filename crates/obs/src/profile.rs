@@ -39,14 +39,11 @@ pub enum Counter {
     /// Fleet cells that panicked or otherwise failed; their coordinates are
     /// recorded in the fleet report instead of a summary.
     FleetCellsFailed,
-    /// Event-queue operations (pushes + pops) across the run — identical
-    /// in every [`QueueMode`], so drift here is a behavior change.
-    ///
-    /// [`QueueMode`]: https://docs.rs/sapred-cluster
+    /// Event-queue operations (pushes + pops) across the run — a pure
+    /// function of the workload, so drift here is a behavior change.
     EventQueueOps,
     /// Arena event-queue bytes high-water mark (slab records + index heap;
-    /// high-water mark via [`Profiler::record_max`]). Zero under the
-    /// reference `BinaryHeap` queue.
+    /// high-water mark via [`Profiler::record_max`]).
     ArenaBytesPeak,
     /// Event-arena slots recycled through the slab freelist (pushes served
     /// from a previously freed slot rather than slab growth).
