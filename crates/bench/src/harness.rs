@@ -117,6 +117,20 @@ pub enum CellKind {
         /// Reduce tasks per job.
         reduces: usize,
     },
+    /// The query-count axis of the scale suite: the dispatch workload at a
+    /// fixed task count, SWRD-scheduled, so the runnable set (and with it
+    /// the cost of each scheduler pick and of keeping its index) grows
+    /// with the number of queries while the event count stays put.
+    ScaleSwrd {
+        /// Queries in the synthetic workload.
+        n_queries: usize,
+        /// Jobs per query (chained DAG).
+        jobs: usize,
+        /// Map tasks per job.
+        maps: usize,
+        /// Reduce tasks per job.
+        reduces: usize,
+    },
     /// The scale cell with crash tolerance on: identical workload, plus a
     /// periodic `sapred-ckpt/v1` checkpoint of the full
     /// simulator state every `every` processed events, written atomically
@@ -266,6 +280,13 @@ pub fn config_json(kind: &CellKind) -> String {
             .int("maps", maps as u64)
             .int("reduces", reduces as u64)
             .finish(),
+        CellKind::ScaleSwrd { n_queries, jobs, maps, reduces } => Obj::new()
+            .str("kind", "scale_swrd")
+            .int("n_queries", n_queries as u64)
+            .int("jobs", jobs as u64)
+            .int("maps", maps as u64)
+            .int("reduces", reduces as u64)
+            .finish(),
         CellKind::ScaleCheckpoint { n_queries, jobs, maps, reduces, every } => Obj::new()
             .str("kind", "scale_checkpoint")
             .int("n_queries", n_queries as u64)
@@ -387,6 +408,13 @@ fn run_once(spec: &CellSpec, prof: &Rc<SpanProfiler>) {
             let mut sim = Simulator::new(cluster, fw.cost, Fifo);
             sim.run_profiled(&queries, &mut NullSink, &mut FrozenOracle, &**prof);
         }
+        CellKind::ScaleSwrd { n_queries, jobs, maps, reduces } => {
+            let queries = dispatch_workload(n_queries, jobs, maps, reduces);
+            let mut cluster = fw.cluster;
+            cluster.seed = spec.seed;
+            let mut sim = Simulator::new(cluster, fw.cost, Swrd);
+            sim.run_profiled(&queries, &mut NullSink, &mut FrozenOracle, &**prof);
+        }
         CellKind::ScaleCheckpoint { n_queries, jobs, maps, reduces, every } => {
             let queries = dispatch_workload(n_queries, jobs, maps, reduces);
             let mut cluster = fw.cluster;
@@ -475,7 +503,7 @@ pub fn run_cell(spec: &CellSpec) -> CellResult {
             let decisions = counters.get(Counter::DispatchDecisions.label()).copied().unwrap_or(0);
             metrics.insert("dispatch_decisions_per_s".into(), decisions as f64 / best);
         }
-        CellKind::Scale { .. } | CellKind::ScaleCheckpoint { .. } => {
+        CellKind::Scale { .. } | CellKind::ScaleSwrd { .. } | CellKind::ScaleCheckpoint { .. } => {
             let tasks = counters.get(Counter::TasksLaunched.label()).copied().unwrap_or(0);
             metrics.insert("tasks_per_s".into(), tasks as f64 / best);
         }
@@ -578,8 +606,10 @@ pub fn pipeline_suite(quick: bool) -> Vec<CellSpec> {
     ]
 }
 
-/// The scale suite: the event core pushed to 10⁶ and 10⁷ tasks. Quick
-/// shapes keep the names with ~10³× smaller workloads.
+/// The scale suite: the event core pushed to 10⁶ and 10⁷ tasks, and a
+/// query-count axis under SWRD (200, 2 k and 20 k queries at 10⁶ tasks).
+/// Quick shapes keep the names with ~10³× smaller workloads (the query
+/// axis: 20, 200 and 2 k queries at 10⁴ tasks).
 pub fn scale_suite(quick: bool) -> Vec<CellSpec> {
     let small = if quick {
         CellKind::Scale { n_queries: 60, jobs: 3, maps: 20, reduces: 8 }
@@ -607,10 +637,24 @@ pub fn scale_suite(quick: bool) -> Vec<CellSpec> {
             every: 500_000,
         }
     };
+    // Query-count axis: (queries, maps, reduces) at 5 jobs per query, so
+    // every shape has the same task count.
+    let axis = if quick {
+        [(20, 80, 20), (200, 8, 2), (2000, 1, 0)]
+    } else {
+        [(200, 800, 200), (2000, 80, 20), (20_000, 8, 2)]
+    };
+    let swrd = |i: usize| {
+        let (n_queries, maps, reduces) = axis[i];
+        CellKind::ScaleSwrd { n_queries, jobs: 5, maps, reduces }
+    };
     vec![
         CellSpec { name: "scale_1e6", kind: small, iters: 2, seed: 7 },
         CellSpec { name: "scale_1e6_ckpt", kind: ckpt, iters: 2, seed: 7 },
         CellSpec { name: "scale_1e7", kind: large, iters: 1, seed: 7 },
+        CellSpec { name: "scale_swrd_q200", kind: swrd(0), iters: 2, seed: 7 },
+        CellSpec { name: "scale_swrd_q2k", kind: swrd(1), iters: 2, seed: 7 },
+        CellSpec { name: "scale_swrd_q20k", kind: swrd(2), iters: 2, seed: 7 },
     ]
 }
 

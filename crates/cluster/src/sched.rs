@@ -1,11 +1,18 @@
 //! Schedulers: job-level FIFO / Capacity / Fair, and the paper's
 //! query-level SWRD (Smallest Weighted Resource Demand first, §4.3).
 //!
-//! The engine calls [`Scheduler::pick`] once per free container with the
-//! current set of runnable jobs; the scheduler returns which job should
-//! receive the container. A job never has pending maps and pending reduces
-//! at the same time (reduces unlock when the map phase completes), so the
-//! choice of task kind is implied.
+//! The engine asks for one choice per free container: which runnable job
+//! should receive it. A policy whose order is a fixed total order over
+//! per-job fields exposes it as a [`PickKey`] through
+//! [`Scheduler::pick_key`]; the engine then keeps its runnable jobs in an
+//! index ordered by that key and hands out the index head, O(log n) per
+//! update instead of an O(n) scan per pick. Policies without such a key
+//! ([`HcsQueues`], any wrapper that does not forward `pick_key`) are
+//! consulted through [`Scheduler::pick`] with the whole runnable set. For
+//! keyed policies `pick` stays the specification the index is checked
+//! against. A job never has pending maps and pending reduces at the same
+//! time (reduces unlock when the map phase completes), so the choice of
+//! task kind is implied.
 
 use crate::job::TaskKind;
 use sapred_obs::{JobId, QueryId};
@@ -60,12 +67,52 @@ pub struct TaskChoice {
     pub kind: TaskKind,
 }
 
+impl From<&RunnableJob> for TaskChoice {
+    fn from(j: &RunnableJob) -> Self {
+        TaskChoice { query: j.query, job: j.job, kind: j.next_kind() }
+    }
+}
+
+/// A keyed policy's rank of one runnable job: lexicographic order on keys
+/// is exactly the order of the policy's [`Scheduler::pick`] comparator,
+/// tie-breaks included, so the smallest key is the job `pick` returns.
+/// Unused trailing slots are zero.
+pub type PickKey = [u64; 5];
+
+/// Map `x` to a `u64` whose unsigned order is [`f64::total_cmp`] order:
+/// negative values (sign bit set, NaNs included) have every bit flipped,
+/// non-negative ones only the sign bit. Total over all bit patterns, so a
+/// NaN score sorts exactly where `total_cmp` puts it.
+pub fn total_order_bits(x: f64) -> u64 {
+    let b = x.to_bits();
+    if b >> 63 == 1 {
+        !b
+    } else {
+        b | 1 << 63
+    }
+}
+
+use total_order_bits as tob;
+
 /// Scheduling policy.
 pub trait Scheduler {
     /// Human-readable policy name (used in reports).
     fn name(&self) -> &'static str;
     /// Choose a job for the next free container, or `None` to leave it idle.
+    ///
+    /// The engine calls this once per free container, with every runnable
+    /// job, only for policies without a [`pick_key`](Scheduler::pick_key)
+    /// (and for the FIFO fallback of degraded mode). For keyed policies it
+    /// is the reference the engine's index is crosschecked against.
     fn pick(&mut self, runnable: &[RunnableJob]) -> Option<TaskChoice>;
+    /// The policy's order as a key function, when `pick` is "the runnable
+    /// job with the smallest key" for a key computed from that job alone.
+    /// The engine then takes the head of an index ordered by this key
+    /// instead of calling `pick`. Defaults to `None` (always call `pick`),
+    /// which is also what a wrapper that does not forward it gets.
+    fn pick_key(&self) -> Option<fn(&RunnableJob) -> PickKey> {
+        None
+    }
     /// The policy's primary ranking score for `job` — **lower wins** for
     /// every built-in policy. Recorded in observability decision events
     /// ([`sapred_obs::Event::Decision`]) so traces show *why* a candidate
@@ -76,10 +123,6 @@ pub trait Scheduler {
         let _ = job;
         0.0
     }
-}
-
-fn choice(j: &RunnableJob) -> TaskChoice {
-    TaskChoice { query: j.query, job: j.job, kind: j.next_kind() }
 }
 
 /// The shared (submit_time, query, job) tie-break chain.
@@ -113,11 +156,15 @@ impl Scheduler for Fifo {
                     .then(a.submit_time.total_cmp(&b.submit_time))
                     .then(a.job.cmp(&b.job))
             })
-            .map(choice)
+            .map(TaskChoice::from)
     }
 
     fn score(&self, job: &RunnableJob) -> f64 {
         job.arrival
+    }
+
+    fn pick_key(&self) -> Option<fn(&RunnableJob) -> PickKey> {
+        Some(|j| [tob(j.arrival), j.query.0 as u64, tob(j.submit_time), j.job.0 as u64, 0])
     }
 }
 
@@ -135,11 +182,15 @@ impl Scheduler for Hcs {
     }
 
     fn pick(&mut self, runnable: &[RunnableJob]) -> Option<TaskChoice> {
-        runnable.iter().min_by(|a, b| submit_order(a, b)).map(choice)
+        runnable.iter().min_by(|a, b| submit_order(a, b)).map(TaskChoice::from)
     }
 
     fn score(&self, job: &RunnableJob) -> f64 {
         job.submit_time
+    }
+
+    fn pick_key(&self) -> Option<fn(&RunnableJob) -> PickKey> {
+        Some(|j| [tob(j.submit_time), j.query.0 as u64, j.job.0 as u64, 0, 0])
     }
 }
 
@@ -158,11 +209,15 @@ impl Scheduler for Hfs {
         runnable
             .iter()
             .min_by(|a, b| a.running.cmp(&b.running).then(submit_order(a, b)))
-            .map(choice)
+            .map(TaskChoice::from)
     }
 
     fn score(&self, job: &RunnableJob) -> f64 {
         job.running as f64
+    }
+
+    fn pick_key(&self) -> Option<fn(&RunnableJob) -> PickKey> {
+        Some(|j| [j.running as u64, tob(j.submit_time), j.query.0 as u64, j.job.0 as u64, 0])
     }
 }
 
@@ -188,11 +243,17 @@ impl Scheduler for Swrd {
                     .then(a.query.cmp(&b.query))
                     .then(submit_order(a, b))
             })
-            .map(choice)
+            .map(TaskChoice::from)
     }
 
     fn score(&self, job: &RunnableJob) -> f64 {
         job.query_wrd
+    }
+
+    fn pick_key(&self) -> Option<fn(&RunnableJob) -> PickKey> {
+        Some(|j| {
+            [tob(j.query_wrd), tob(j.arrival), j.query.0 as u64, tob(j.submit_time), j.job.0 as u64]
+        })
     }
 }
 
@@ -208,6 +269,9 @@ pub struct HcsQueues {
     capacities: Vec<f64>,
     /// Reusable per-queue running-count scratch, one slot per queue.
     running: Vec<usize>,
+    /// Reusable per-queue "has a runnable job" scratch, filled by the same
+    /// counting pass.
+    has_work: Vec<bool>,
     /// Generation stamp per query id: a query was counted this pick iff
     /// its stamp equals `gen`. "Clearing" between picks is the O(1) `gen`
     /// bump below — no per-dispatch buffer wipe, no hash-set allocation.
@@ -223,8 +287,14 @@ impl HcsQueues {
     pub fn new(capacities: Vec<f64>) -> Self {
         assert!(!capacities.is_empty(), "need at least one queue");
         assert!(capacities.iter().all(|&c| c > 0.0), "capacities must be positive");
-        let running = vec![0; capacities.len()];
-        Self { capacities, running, seen_gen: Vec::new(), gen: 0 }
+        let n = capacities.len();
+        Self {
+            capacities,
+            running: vec![0; n],
+            has_work: vec![false; n],
+            seen_gen: Vec::new(),
+            gen: 0,
+        }
     }
 
     fn queue_of(&self, query: usize) -> usize {
@@ -238,8 +308,9 @@ impl Scheduler for HcsQueues {
     }
 
     fn pick(&mut self, runnable: &[RunnableJob]) -> Option<TaskChoice> {
-        // Running tasks per queue (each query counted once). The engine
-        // hands us the runnable view sorted by (query, job), so queries are
+        // Running tasks per queue (each query counted once), and which
+        // queues have runnable work at all. The engine hands us the
+        // runnable view sorted by (query, job), so queries are
         // contiguous; a last-seen check dedupes in O(n). The
         // (unsorted-caller) general case is guarded by generation stamps:
         // a query counts only when its stamp trails the pick's generation,
@@ -248,6 +319,7 @@ impl Scheduler for HcsQueues {
         let n = self.capacities.len();
         self.gen += 1;
         self.running.iter_mut().for_each(|r| *r = 0);
+        self.has_work.iter_mut().for_each(|h| *h = false);
         let mut last: Option<usize> = None;
         for r in runnable {
             let q: usize = r.query.into();
@@ -262,21 +334,20 @@ impl Scheduler for HcsQueues {
                 self.seen_gen[q] = self.gen;
                 let qi = self.queue_of(q);
                 self.running[qi] += r.query_running;
+                self.has_work[qi] = true;
             }
         }
         // Most under-served queue that has pending work.
-        let best_queue = (0..n)
-            .filter(|&q| runnable.iter().any(|r| self.queue_of(r.query.into()) == q))
-            .min_by(|&a, &b| {
-                let ra = self.running[a] as f64 / self.capacities[a];
-                let rb = self.running[b] as f64 / self.capacities[b];
-                ra.total_cmp(&rb).then(a.cmp(&b))
-            })?;
+        let best_queue = (0..n).filter(|&q| self.has_work[q]).min_by(|&a, &b| {
+            let ra = self.running[a] as f64 / self.capacities[a];
+            let rb = self.running[b] as f64 / self.capacities[b];
+            ra.total_cmp(&rb).then(a.cmp(&b))
+        })?;
         runnable
             .iter()
             .filter(|r| self.queue_of(r.query.into()) == best_queue)
             .min_by(|a, b| submit_order(a, b))
-            .map(choice)
+            .map(TaskChoice::from)
     }
 
     // Queue-relative ranking has no single scalar; the within-queue FIFO
@@ -309,11 +380,23 @@ impl Scheduler for Srt {
                     .then(a.query.cmp(&b.query))
                     .then(submit_order(a, b))
             })
-            .map(choice)
+            .map(TaskChoice::from)
     }
 
     fn score(&self, job: &RunnableJob) -> f64 {
         job.query_time
+    }
+
+    fn pick_key(&self) -> Option<fn(&RunnableJob) -> PickKey> {
+        Some(|j| {
+            [
+                tob(j.query_time),
+                tob(j.arrival),
+                j.query.0 as u64,
+                tob(j.submit_time),
+                j.job.0 as u64,
+            ]
+        })
     }
 }
 
@@ -428,7 +511,7 @@ mod tests {
                 .iter()
                 .filter(|r| queue_of(r.query.into()) == best_queue)
                 .min_by(|a, b| submit_order(a, b))
-                .map(choice)
+                .map(TaskChoice::from)
         }
 
         let capacities = vec![3.0, 1.0, 2.0];
@@ -559,6 +642,45 @@ mod tests {
             assert_eq!(Swrd.pick(r).unwrap().query, QueryId(0));
             assert_eq!(Srt.pick(r).unwrap().query, QueryId(0));
             assert_eq!(Fifo.pick(r).unwrap().query, QueryId(0));
+        }
+    }
+
+    #[test]
+    fn total_order_bits_matches_total_cmp() {
+        let mut xs = vec![
+            f64::NAN,
+            -f64::NAN,
+            f64::from_bits(0x7ff0_0000_0000_0001), // signalling NaN
+            f64::from_bits(0xfff8_0000_0000_0001), // negative NaN with payload
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            0.0,
+            -0.0,
+            f64::MIN_POSITIVE,
+            -f64::MIN_POSITIVE,
+            f64::from_bits(1), // smallest subnormal
+            -f64::from_bits(1),
+            f64::from_bits(0x000f_ffff_ffff_ffff), // largest subnormal
+            f64::MAX,
+            f64::MIN,
+            1.0,
+            -1.0,
+        ];
+        let mut x = 0x9e37_79b9_7f4a_7c15u64;
+        for _ in 0..200 {
+            x = x.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+            xs.push(f64::from_bits(x));
+        }
+        for a in &xs {
+            for b in &xs {
+                assert_eq!(
+                    total_order_bits(*a).cmp(&total_order_bits(*b)),
+                    a.total_cmp(b),
+                    "{a:e} ({:#x}) vs {b:e} ({:#x})",
+                    a.to_bits(),
+                    b.to_bits()
+                );
+            }
         }
     }
 

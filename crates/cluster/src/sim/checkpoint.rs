@@ -11,10 +11,10 @@
 //!
 //! What is *not* serialized is deliberately re-derivable: interned query
 //! names come from the workload, and the materialized
-//! [`DispatchState`](super::dispatch::DispatchState) is rebuilt by the
-//! same `resync_query` sweep the engine uses to recover from fault events,
-//! which produces bit-identical aggregates and runnable entries by
-//! construction.
+//! [`DispatchState`](super::dispatch::DispatchState), pick index
+//! included, is rebuilt by the same `resync_query` sweep the engine uses
+//! to recover from fault events, which produces bit-identical aggregates,
+//! runnable entries and index keys by construction.
 //!
 //! ## Format (`sapred-ckpt/v1`)
 //!
@@ -957,7 +957,7 @@ pub(super) fn decode<S: Scheduler>(
     // the one the snapshotted run was using.
     let names: Vec<std::sync::Arc<str>> =
         queries.iter().map(|q| std::sync::Arc::from(q.name.as_str())).collect();
-    let mut dstate = DispatchState::new(nq, containers);
+    let mut dstate = DispatchState::new(nq, containers, sim.scheduler.pick_key());
     for qi in 0..nq {
         dstate.resync_query(queries, &jobs, &preds, qi);
     }

@@ -1,10 +1,12 @@
 //! The dispatch path: the materialized runnable set, per-query demand
 //! aggregates (WRD / critical path / running counts) derived from live
-//! [`DemandOracle`](super::DemandOracle) predictions, and the
-//! [`DispatchMode::Crosscheck`] oracle that re-derives both from scratch.
+//! [`DemandOracle`](super::DemandOracle) predictions, the [`PickIndex`]
+//! that orders the set by a keyed policy's [`PickKey`], and the
+//! [`DispatchMode::Crosscheck`] oracle that re-derives all three from
+//! scratch.
 
 use crate::job::{JobPrediction, SimQuery};
-use crate::sched::RunnableJob;
+use crate::sched::{PickKey, RunnableJob, TaskChoice};
 
 use super::state::{JobTable, QueryState};
 use sapred_obs::{JobId, QueryId};
@@ -20,7 +22,9 @@ pub enum DispatchMode {
     /// Run incrementally but re-derive the view from scratch
     /// ([`collect_runnable`] and [`query_demand`]) after every event and
     /// before every scheduler pick, panicking on any divergence (including
-    /// f64 score bits). O(Σ jobs) per check; used by the cross-check tests.
+    /// f64 score bits). A keyed policy's pick index is checked against the
+    /// rebuilt view's keys, and its head against the policy's own `pick`
+    /// scan. O(Σ jobs) per check; used by the cross-check tests.
     Crosscheck,
 }
 
@@ -35,24 +39,163 @@ pub(super) struct QueryAgg {
     pub(super) running: usize,
 }
 
+/// [`PickIndex::at`] value of a job that is not in the index.
+const ABSENT: u32 = u32::MAX;
+
+/// One indexed runnable job: its key, its id, and its job-table index.
+#[derive(Debug, Clone, Copy)]
+struct Indexed {
+    key: PickKey,
+    query: u32,
+    job: u32,
+    idx: u32,
+}
+
+/// The runnable set ordered by a keyed policy's [`PickKey`]: a binary
+/// min-heap with one entry per runnable job, plus each job's heap position,
+/// so the policy's pick is the heap root and an entry whose key moved is
+/// re-sifted in place (O(log n), no allocation). Keys are unique because
+/// every key ends in the job's `(query, job)` tie-break.
+pub(super) struct PickIndex {
+    key: fn(&RunnableJob) -> PickKey,
+    heap: Vec<Indexed>,
+    /// Heap position of each job by job-table index, [`ABSENT`] when the
+    /// job is not runnable. Grown on first insert of a higher index.
+    at: Vec<u32>,
+}
+
+impl PickIndex {
+    /// Index `r` (job-table index `i`), or re-key it if already indexed.
+    /// The heap is touched only when the key actually changed.
+    fn set(&mut self, r: &RunnableJob, i: usize) {
+        let key = (self.key)(r);
+        if self.at.len() <= i {
+            self.at.resize(i + 1, ABSENT);
+        }
+        if self.at[i] == ABSENT {
+            let p = self.heap.len();
+            self.heap.push(Indexed {
+                key,
+                query: r.query.0 as u32,
+                job: r.job.0 as u32,
+                idx: i as u32,
+            });
+            self.sift_up(p);
+        } else {
+            let p = self.at[i] as usize;
+            if self.heap[p].key != key {
+                self.heap[p].key = key;
+                self.resift(p);
+            }
+        }
+    }
+
+    /// Drop job-table index `i` from the index.
+    fn remove(&mut self, i: usize) {
+        let p = self.at[i] as usize;
+        self.at[i] = ABSENT;
+        let last = self.heap.pop().expect("removed job is indexed");
+        if p < self.heap.len() {
+            self.heap[p] = last;
+            self.resift(p);
+        }
+    }
+
+    fn resift(&mut self, p: usize) {
+        if self.sift_up(p) == p {
+            self.sift_down(p);
+        }
+    }
+
+    /// Move the entry at `p` towards the root past every larger parent;
+    /// returns where it settled.
+    fn sift_up(&mut self, mut p: usize) -> usize {
+        let e = self.heap[p];
+        while p > 0 {
+            let parent = (p - 1) / 2;
+            if self.heap[parent].key <= e.key {
+                break;
+            }
+            self.place(p, self.heap[parent]);
+            p = parent;
+        }
+        self.place(p, e);
+        p
+    }
+
+    fn sift_down(&mut self, mut p: usize) {
+        let e = self.heap[p];
+        let n = self.heap.len();
+        loop {
+            let mut c = 2 * p + 1;
+            if c >= n {
+                break;
+            }
+            if c + 1 < n && self.heap[c + 1].key < self.heap[c].key {
+                c += 1;
+            }
+            if e.key <= self.heap[c].key {
+                break;
+            }
+            self.place(p, self.heap[c]);
+            p = c;
+        }
+        self.place(p, e);
+    }
+
+    fn place(&mut self, p: usize, e: Indexed) {
+        self.heap[p] = e;
+        self.at[e.idx as usize] = p as u32;
+    }
+
+    /// Panic unless the index holds exactly the keys of `reference` as a
+    /// valid heap whose positions agree with `at`.
+    fn check(&self, reference: &[RunnableJob], jobs: &JobTable, when: &str) {
+        let mut want: Vec<_> =
+            reference.iter().map(|r| ((self.key)(r), r.query.0 as u32, r.job.0 as u32)).collect();
+        let mut have: Vec<_> = self.heap.iter().map(|e| (e.key, e.query, e.job)).collect();
+        want.sort_unstable();
+        have.sort_unstable();
+        assert!(have == want, "pick index diverged from the keys of the runnable set ({when})");
+        for (p, e) in self.heap.iter().enumerate() {
+            assert!(
+                e.idx as usize == jobs.idx(e.query as usize, e.job as usize)
+                    && self.at[e.idx as usize] as usize == p
+                    && (p == 0 || self.heap[(p - 1) / 2].key < e.key),
+                "pick index heap or position map corrupt at slot {p} ({when})"
+            );
+        }
+        let positioned = self.at.iter().filter(|&&a| a != ABSENT).count();
+        assert_eq!(positioned, self.heap.len(), "stale pick index positions ({when})");
+    }
+}
+
 /// Materialized scheduling state for the incremental dispatch path: the
 /// runnable-job set (sorted by `(query, job)`, the same order
-/// [`collect_runnable`] produces) plus per-query aggregates. Updated in
-/// O(affected jobs) on each `Submit`/`TaskDone`/dispatch instead of being
-/// recomputed from every job of every query once per free container.
+/// [`collect_runnable`] produces), per-query aggregates, and, for a keyed
+/// policy, the [`PickIndex`] over the same set. Updated in O(affected
+/// jobs) on each `Submit`/`TaskDone`/dispatch instead of being recomputed
+/// from every job of every query once per free container.
 pub(super) struct DispatchState {
     pub(super) aggs: Vec<QueryAgg>,
     pub(super) runnable: Vec<RunnableJob>,
+    /// `None` when the policy has no [`PickKey`]: picks scan `runnable`.
+    index: Option<PickIndex>,
     /// Scratch for the critical-path pass (avoids a per-event allocation).
     pub(super) scratch: Vec<f64>,
     pub(super) containers: usize,
 }
 
 impl DispatchState {
-    pub(super) fn new(n_queries: usize, containers: usize) -> Self {
+    pub(super) fn new(
+        n_queries: usize,
+        containers: usize,
+        key: Option<fn(&RunnableJob) -> PickKey>,
+    ) -> Self {
         Self {
             aggs: vec![QueryAgg::default(); n_queries],
             runnable: Vec::new(),
+            index: key.map(|key| PickIndex { key, heap: Vec::new(), at: Vec::new() }),
             scratch: Vec::new(),
             containers,
         }
@@ -60,6 +203,27 @@ impl DispatchState {
 
     pub(super) fn position(&self, q: usize, j: usize) -> Result<usize, usize> {
         self.runnable.binary_search_by_key(&(q, j), |r| (r.query.into(), r.job.into()))
+    }
+
+    /// Whether picks come from the index rather than a scan.
+    pub(super) fn keyed(&self) -> bool {
+        self.index.is_some()
+    }
+
+    /// The keyed policy's pick: the index head, resolved to its runnable
+    /// entry. `None` when nothing is runnable (or the policy is unkeyed).
+    pub(super) fn head(&self) -> Option<TaskChoice> {
+        let e = self.index.as_ref()?.heap.first()?;
+        let at = self.position(e.query as usize, e.job as usize).expect("indexed job is runnable");
+        Some(TaskChoice::from(&self.runnable[at]))
+    }
+
+    /// The query range `start..end` of `qi`'s entries in `runnable`.
+    fn query_span(&self, qi: usize) -> std::ops::Range<usize> {
+        let start = self.runnable.partition_point(|r| r.query < QueryId(qi));
+        let end =
+            start + self.runnable[start..].iter().take_while(|r| r.query == QueryId(qi)).count();
+        start..end
     }
 
     /// Recompute query `qi`'s WRD and critical path (O(its jobs)) and push
@@ -80,18 +244,22 @@ impl DispatchState {
         let (wrd, crit) = query_demand(q, qi, jobs, &preds[qi], self.containers, &mut self.scratch);
         self.aggs[qi].wrd = wrd;
         self.aggs[qi].crit = crit;
-        self.sync_entries(qi);
+        self.sync_entries(jobs, qi);
     }
 
     /// Copy query `qi`'s aggregates into its runnable entries (contiguous
     /// in the sorted set).
-    pub(super) fn sync_entries(&mut self, qi: usize) {
+    fn sync_entries(&mut self, jobs: &JobTable, qi: usize) {
         let agg = self.aggs[qi];
+        let base = jobs.query_range(qi).start;
         let start = self.runnable.partition_point(|r| r.query < QueryId(qi));
         for r in self.runnable[start..].iter_mut().take_while(|r| r.query == QueryId(qi)) {
             r.query_wrd = agg.wrd;
             r.query_time = agg.crit;
             r.query_running = agg.running;
+            if let Some(ix) = &mut self.index {
+                ix.set(r, base + r.job.0);
+            }
         }
     }
 
@@ -125,24 +293,39 @@ impl DispatchState {
             Ok(_) => unreachable!("job {qi}/{j} already runnable"),
             Err(at) => self.runnable.insert(at, entry),
         }
+        if let Some(ix) = &mut self.index {
+            ix.set(&entry, i);
+        }
+    }
+
+    /// Refresh the runnable entry at `at` from job `i`'s task counts.
+    fn update_counts(&mut self, jobs: &JobTable, at: usize, i: usize) {
+        let r = &mut self.runnable[at];
+        r.pending_maps = jobs.counts[i].pending_maps;
+        r.pending_reduces =
+            if jobs.reduces_unlocked[i] { jobs.counts[i].pending_reduces } else { 0 };
+        r.running = jobs.counts[i].running_maps + jobs.counts[i].running_reduces;
+        if let Some(ix) = &mut self.index {
+            ix.set(r, i);
+        }
     }
 
     /// A task of `(qi, j)` was dispatched: bump running counts and drop the
     /// job from the set once nothing is left to launch.
     pub(super) fn on_dispatch(&mut self, jobs: &JobTable, qi: usize, j: usize) {
         self.aggs[qi].running += 1;
-        self.sync_entries(qi);
+        self.sync_entries(jobs, qi);
         let at = self.position(qi, j).expect("dispatched job is runnable");
         let i = jobs.idx(qi, j);
         let pending_reduces =
             if jobs.reduces_unlocked[i] { jobs.counts[i].pending_reduces } else { 0 };
         if jobs.counts[i].pending_maps == 0 && pending_reduces == 0 {
             self.runnable.remove(at);
+            if let Some(ix) = &mut self.index {
+                ix.remove(i);
+            }
         } else {
-            let r = &mut self.runnable[at];
-            r.pending_maps = jobs.counts[i].pending_maps;
-            r.pending_reduces = pending_reduces;
-            r.running = jobs.counts[i].running_maps + jobs.counts[i].running_reduces;
+            self.update_counts(jobs, at, i);
         }
     }
 
@@ -160,11 +343,7 @@ impl DispatchState {
         let i = jobs.idx(qi, j);
         if let Ok(at) = self.position(qi, j) {
             // Still runnable (more tasks of the same phase pending).
-            let r = &mut self.runnable[at];
-            r.pending_maps = jobs.counts[i].pending_maps;
-            r.pending_reduces =
-                if jobs.reduces_unlocked[i] { jobs.counts[i].pending_reduces } else { 0 };
-            r.running = jobs.counts[i].running_maps + jobs.counts[i].running_reduces;
+            self.update_counts(jobs, at, i);
         } else if jobs.reduces_unlocked[i]
             && jobs.counts[i].pending_reduces > 0
             && jobs.finished[i].is_none()
@@ -197,9 +376,7 @@ impl DispatchState {
         let base = jobs.query_range(qi).start;
         self.aggs[qi] = QueryAgg { wrd, crit, running: query_running(jobs, qi) };
         let agg = self.aggs[qi];
-        let start = self.runnable.partition_point(|r| r.query < QueryId(qi));
-        let end =
-            start + self.runnable[start..].iter().take_while(|r| r.query == QueryId(qi)).count();
+        let span = self.query_span(qi);
         let mut entries = Vec::new();
         for j in &q.jobs {
             let i = base + j.id.0;
@@ -224,23 +401,37 @@ impl DispatchState {
                 query_running: agg.running,
             });
         }
-        self.runnable.splice(start..end, entries);
+        if let Some(ix) = &mut self.index {
+            for r in &self.runnable[span.clone()] {
+                if entries.binary_search_by_key(&r.job, |e| e.job).is_err() {
+                    ix.remove(base + r.job.0);
+                }
+            }
+            for r in &entries {
+                ix.set(r, base + r.job.0);
+            }
+        }
+        self.runnable.splice(span, entries);
     }
 
     /// Drop an abandoned query from the runnable set entirely.
-    pub(super) fn remove_query(&mut self, qi: usize) {
-        let start = self.runnable.partition_point(|r| r.query < QueryId(qi));
-        let end =
-            start + self.runnable[start..].iter().take_while(|r| r.query == QueryId(qi)).count();
-        self.runnable.drain(start..end);
+    pub(super) fn remove_query(&mut self, jobs: &JobTable, qi: usize) {
+        let base = jobs.query_range(qi).start;
+        let span = self.query_span(qi);
+        for r in self.runnable.drain(span) {
+            if let Some(ix) = &mut self.index {
+                ix.remove(base + r.job.0);
+            }
+        }
         self.aggs[qi] = QueryAgg::default();
     }
 
     /// Panic unless the materialized state matches a from-scratch rebuild
     /// bit-for-bit (f64 fields included — the scores recorded in obs
     /// decision events must be identical, not merely close): the runnable
-    /// set against [`collect_runnable`], and every live query's aggregates
-    /// against [`query_demand`]. The second check covers queries with no
+    /// set against [`collect_runnable`], the [`PickIndex`] (if any) against
+    /// the keys of that rebuilt set, and every live query's aggregates
+    /// against [`query_demand`]. The last check covers queries with no
     /// runnable entry, whose WRD admission's `ShedLargestWrd` still reads.
     pub(super) fn crosscheck(
         &self,
@@ -255,6 +446,9 @@ impl DispatchState {
             self.runnable, reference,
             "incremental dispatch state diverged from collect_runnable ({when})"
         );
+        if let Some(ix) = &self.index {
+            ix.check(&reference, jobs, when);
+        }
         for (qi, q) in queries.iter().enumerate() {
             // An abandoned query's aggregates are cleared with its entries.
             if qstate[qi].failed {

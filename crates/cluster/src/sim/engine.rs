@@ -563,7 +563,11 @@ impl<S: Scheduler> Simulator<S> {
         // Seed every query's demand aggregates up front (WRD and critical
         // path depend only on done-task counts, which start at zero, not on
         // submission) so `Submit` handling stays O(1) per job.
-        let mut dstate = DispatchState::new(queries.len(), self.config.total_containers());
+        let mut dstate = DispatchState::new(
+            queries.len(),
+            self.config.total_containers(),
+            self.scheduler.pick_key(),
+        );
         for qi in 0..queries.len() {
             dstate.refresh_query(queries, &jobs, &preds, qi);
             prof.inc(Counter::SchedulerViewUpdates);
@@ -776,7 +780,7 @@ impl<S: Scheduler> Simulator<S> {
                                 &mut rs.free_slots,
                                 sink,
                             );
-                            rs.dstate.remove_query(q);
+                            rs.dstate.remove_query(&rs.jobs, q);
                             prof.inc(Counter::SchedulerViewUpdates);
                         } else {
                             // Waiting out a shed backoff: nothing is running.
@@ -1069,7 +1073,7 @@ impl<S: Scheduler> Simulator<S> {
                                 rs.active -= 1;
                             }
                             rs.done_queries += 1;
-                            rs.dstate.remove_query(a.q);
+                            rs.dstate.remove_query(&rs.jobs, a.q);
                             prof.inc(Counter::SchedulerViewUpdates);
                         }
                         // Blacklist a node that keeps failing tasks — but never
@@ -1270,13 +1274,24 @@ impl<S: Scheduler> Simulator<S> {
                             &rs.qstate,
                             "before pick",
                         );
+                        if rs.dstate.keyed() {
+                            assert_eq!(
+                                rs.dstate.head(),
+                                self.scheduler.pick(&rs.dstate.runnable),
+                                "pick index head diverged from {}::pick",
+                                self.scheduler.name()
+                            );
+                        }
                     }
                     let runnable: &[RunnableJob] = &rs.dstate.runnable;
                     // In degraded mode (a guarded oracle's trust collapsed),
                     // semantics-blind FIFO replaces the configured policy until
-                    // trust recovers past the exit threshold.
+                    // trust recovers past the exit threshold. A keyed policy's
+                    // pick is the head of its index; the rest scan.
                     let picked = if rs.degraded {
                         fallback.pick(runnable)
+                    } else if rs.dstate.keyed() {
+                        rs.dstate.head()
                     } else {
                         self.scheduler.pick(runnable)
                     };

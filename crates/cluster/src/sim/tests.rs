@@ -1182,6 +1182,57 @@ fn degraded_mode_recovery_is_surfaced_and_restores_the_scheduler() {
     assert!(policies.contains(&"SWRD"));
 }
 
+/// Oracle that answers garbage for its first `bad` calls (the up-front
+/// seeding) and the build-time prediction afterwards, so a guard around it
+/// enters degraded mode at once and leaves it once clean answers rebuild
+/// trust.
+struct BadStartOracle {
+    bad: usize,
+    calls: usize,
+}
+
+impl DemandOracle for BadStartOracle {
+    fn predict(&mut self, _query: QueryId, job: &SimJob) -> JobPrediction {
+        self.calls += 1;
+        if self.calls <= self.bad {
+            JobPrediction { map_task_time: f64::NAN, reduce_task_time: -1.0 }
+        } else {
+            job.prediction
+        }
+    }
+}
+
+#[test]
+fn index_crosscheck_holds_through_degraded_mode_and_back() {
+    use sapred_obs::{Event as Ob, RecordingSink};
+    // Keyed SWRD behind a guard that distrusts the seeding and recovers:
+    // FIFO scans the runnable set while degraded, yet the SWRD index must
+    // track every update so it is right the moment SWRD resumes.
+    // Crosscheck asserts the index against the rebuilt keys and its head
+    // against `Swrd::pick` before every pick, degraded or not.
+    let queries = mixed_workload();
+    let n_jobs = queries.iter().map(|q| q.jobs.len()).sum();
+    let run = |dispatch: DispatchMode| {
+        let mut oracle = GuardedOracle::new(BadStartOracle { bad: n_jobs, calls: 0 });
+        let mut rec = RecordingSink::new();
+        let r = sim(Swrd).with_dispatch(dispatch).run_with_oracle(&queries, &mut rec, &mut oracle);
+        (r, rec.events)
+    };
+    let (base, events) = run(DispatchMode::Incremental);
+    let (cc, cc_events) = run(DispatchMode::Crosscheck);
+    assert_eq!(base.makespan.to_bits(), cc.makespan.to_bits());
+    assert_eq!(base.queries, cc.queries);
+    // Quarantine events carry the rejected NaN, so compare renderings.
+    assert_eq!(format!("{events:?}"), format!("{cc_events:?}"));
+    let count = |f: fn(&Ob) -> bool| events.iter().filter(|e| f(e)).count();
+    assert_eq!(count(|e| matches!(e, Ob::DegradedModeEnter { .. })), 1);
+    assert_eq!(count(|e| matches!(e, Ob::DegradedModeExit { .. })), 1);
+    let policy =
+        |p: &'static str| move |e: &Ob| matches!(e, Ob::Decision { policy, .. } if *policy == p);
+    assert!(events.iter().any(policy("FIFO(degraded)")), "no pick while degraded");
+    assert!(events.iter().any(policy("SWRD")), "no pick after recovery");
+}
+
 #[test]
 fn profiled_run_is_report_identical_and_counts_hot_paths() {
     use sapred_obs::profile::{Counter, SpanProfiler};

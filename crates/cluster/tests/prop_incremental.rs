@@ -3,7 +3,8 @@
 //! equal a from-scratch rebuild after every event and before every pick
 //! ([`DispatchMode::Crosscheck`] asserts exactly that inside the engine),
 //! and the checked run must produce a bit-identical report to an unchecked
-//! one — for every scheduler.
+//! one — for every scheduler. For keyed policies Crosscheck also checks the
+//! pick index and its head against the policy's own `pick` scan.
 
 use proptest::prelude::*;
 use sapred_cluster::{
@@ -102,6 +103,27 @@ fn check_all(queries: &[SimQuery], plan: &FaultPlan) -> Result<(), TestCaseError
     Ok(())
 }
 
+/// Random fault plans: transient task failures, an optional transient
+/// node crash, speculation on or off.
+fn fault_plan_strategy() -> impl Strategy<Value = FaultPlan> {
+    (
+        0.0f64..0.15,
+        prop::option::of((0usize..2, 2.0f64..40.0, 2.0f64..25.0)),
+        any::<bool>(),
+        0u64..1_000_000,
+    )
+        .prop_map(|(fail_prob, crash, speculative, seed)| FaultPlan {
+            task_fail_prob: fail_prob,
+            max_attempts: 20,
+            node_crashes: crash
+                .map(|(n, at, d)| vec![NodeCrash::transient(n, at, d)])
+                .unwrap_or_default(),
+            speculative,
+            seed,
+            ..FaultPlan::default()
+        })
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
@@ -113,25 +135,29 @@ proptest! {
     #[test]
     fn incremental_state_matches_reference_under_faults(
         queries in workload_strategy(),
-        fail_prob in 0.0f64..0.15,
-        crash in prop::option::of((0usize..2, 2.0f64..40.0, 2.0f64..25.0)),
-        speculative in any::<bool>(),
-        seed in 0u64..1_000_000,
+        plan in fault_plan_strategy(),
     ) {
         // Kills, retries, claw-backs and abandonment all mutate the
         // dispatch state through resync paths that the fault-free property
         // never exercises — the materialized view must still match the
         // reference on every event.
-        let plan = FaultPlan {
-            task_fail_prob: fail_prob,
-            max_attempts: 20,
-            node_crashes: crash
-                .map(|(n, at, d)| vec![NodeCrash::transient(n, at, d)])
-                .unwrap_or_default(),
-            speculative,
-            seed,
-            ..FaultPlan::default()
-        };
         check_all(&queries, &plan)?;
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    #[test]
+    fn hfs_index_crosscheck_holds_under_random_fault_plans(
+        queries in prop::collection::vec(query_strategy(), 2..7),
+        plan in fault_plan_strategy(),
+    ) {
+        // HFS keys on each job's running count, so its pick index re-keys
+        // on every dispatch and completion, and fault paths (kills,
+        // requeues, claw-backs) move those counts in bulk. More queries
+        // than the shared properties use keep several jobs runnable at
+        // once, so the heap has real reordering to do.
+        check_one(Hfs, &queries, &plan)?;
     }
 }

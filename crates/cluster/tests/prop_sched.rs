@@ -1,9 +1,12 @@
 //! Property tests: every scheduler returns choices that are members of the
-//! runnable set, with the kind implied by the job's phase.
+//! runnable set, with the kind implied by the job's phase, and every keyed
+//! policy's smallest [`PickKey`] names the job its `pick` scan returns.
 
 use proptest::prelude::*;
 use sapred_cluster::job::TaskKind;
-use sapred_cluster::sched::{Fifo, Hcs, HcsQueues, Hfs, RunnableJob, Scheduler, Srt, Swrd};
+use sapred_cluster::sched::{
+    Fifo, Hcs, HcsQueues, Hfs, PickKey, RunnableJob, Scheduler, Srt, Swrd, TaskChoice,
+};
 
 fn runnable_strategy() -> impl Strategy<Value = Vec<RunnableJob>> {
     prop::collection::vec(
@@ -45,6 +48,60 @@ fn runnable_strategy() -> impl Strategy<Value = Vec<RunnableJob>> {
     })
 }
 
+/// Float fields drawn from a small pool, so scores tie across queries and
+/// jobs, with NaN of both signs, ±0.0 and ±∞ among them.
+fn tied_f64() -> impl Strategy<Value = f64> {
+    prop::sample::select(vec![
+        f64::NAN,
+        -f64::NAN,
+        0.0,
+        -0.0,
+        f64::INFINITY,
+        f64::NEG_INFINITY,
+        f64::from_bits(1),
+        1.0,
+        1.0,
+        2.5,
+        2.5,
+        1e9,
+    ])
+}
+
+/// Runnable sets whose every float key comes from [`tied_f64`], with
+/// unique `(query, job)` pairs (the engine's invariant).
+fn tied_runnable_strategy() -> impl Strategy<Value = Vec<RunnableJob>> {
+    prop::collection::vec(
+        (0usize..4, 0usize..4, tied_f64(), tied_f64(), tied_f64(), tied_f64(), 0usize..3),
+        0..16,
+    )
+    .prop_map(|rows| {
+        let mut seen = std::collections::HashSet::new();
+        rows.into_iter()
+            .filter(|&(q, j, ..)| seen.insert((q, j)))
+            .map(|(q, j, submit, arrival, wrd, crit, running)| RunnableJob {
+                query: sapred_cluster::QueryId(q),
+                job: sapred_cluster::JobId(j),
+                submit_time: submit,
+                arrival,
+                pending_maps: 1,
+                pending_reduces: 0,
+                running,
+                query_wrd: wrd,
+                query_time: crit,
+                query_running: running,
+            })
+            .collect()
+    })
+}
+
+/// The job with the smallest `pick_key` must be the job `pick` returns.
+fn check_key<S: Scheduler>(mut s: S, runnable: &[RunnableJob]) -> Result<(), TestCaseError> {
+    let key: fn(&RunnableJob) -> PickKey = s.pick_key().expect("keyed policy");
+    let smallest = runnable.iter().min_by_key(|r| key(r)).map(TaskChoice::from);
+    prop_assert_eq!(smallest, s.pick(runnable), "{}", s.name());
+    Ok(())
+}
+
 fn check<S: Scheduler>(mut s: S, runnable: &[RunnableJob]) -> Result<(), TestCaseError> {
     match s.pick(runnable) {
         None => prop_assert!(runnable.is_empty(), "{} left work on the table", s.name()),
@@ -71,6 +128,15 @@ proptest! {
         check(Swrd, &runnable)?;
         check(Srt, &runnable)?;
         check(HcsQueues::new(vec![0.6, 0.3, 0.1]), &runnable)?;
+    }
+
+    #[test]
+    fn keyed_policies_pick_the_smallest_key(runnable in tied_runnable_strategy()) {
+        check_key(Fifo, &runnable)?;
+        check_key(Hcs, &runnable)?;
+        check_key(Hfs, &runnable)?;
+        check_key(Swrd, &runnable)?;
+        check_key(Srt, &runnable)?;
     }
 
     #[test]

@@ -94,6 +94,10 @@ fn assert_fault_replay<S: Scheduler + Clone>(
 
 /// Scheduler wrapper that asserts no non-finite demand estimate ever
 /// reaches a pick: the prediction guardrails must sanitize upstream.
+///
+/// It deliberately does not forward `pick_key`: the engine then has no
+/// pick index for it and calls `pick` with every runnable job, which is
+/// the only path on which these per-candidate assertions run.
 #[derive(Clone)]
 struct AssertFiniteWrd<S>(S);
 
